@@ -7,6 +7,7 @@ package biscatter
 // regeneration.
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"strconv"
@@ -359,6 +360,12 @@ func BenchmarkExchange(b *testing.B) {
 func BenchmarkFleet(b *testing.B) {
 	payload := []byte("fleet payload")
 	up := map[int][]bool{0: {true, false}, 1: {false, true}}
+	exchange := func(fn *FleetNetwork) error {
+		return fn.Do(context.Background(), func(ctx context.Context, n *Network) error {
+			_, err := n.ExchangeContext(ctx, payload, up)
+			return err
+		})
+	}
 	for _, networks := range []int{1, 4, 16} {
 		b.Run("networks="+strconv.Itoa(networks), func(b *testing.B) {
 			m := NewMetrics()
@@ -381,7 +388,7 @@ func BenchmarkFleet(b *testing.B) {
 				}
 				// Warm-up reaches each engine-resident scratch high-water
 				// mark outside the timed region.
-				if _, err := fn.Exchange(payload, up); err != nil {
+				if err := exchange(fn); err != nil {
 					b.Fatal(err)
 				}
 				handles[i] = fn
@@ -394,7 +401,7 @@ func BenchmarkFleet(b *testing.B) {
 				go func(fn *FleetNetwork) {
 					defer wg.Done()
 					for next.Add(1) <= int64(b.N) {
-						if _, err := fn.Exchange(payload, up); err != nil {
+						if err := exchange(fn); err != nil {
 							b.Error(err)
 							return
 						}

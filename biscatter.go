@@ -70,7 +70,11 @@
 //	    biscatter.WithWorkers(1)) // fleet-wide defaults, same Option set
 //	defer fleet.Close()
 //	fn, err := fleet.AddNetwork(cfg, biscatter.WithSeed(7)) // per-network override
-//	res, err := fn.ExchangeContext(ctx, payload, bits)      // concurrent-safe
+//	var res *biscatter.ExchangeResult
+//	err = fn.Do(ctx, func(ctx context.Context, n *biscatter.Network) (err error) {
+//	    res, err = n.ExchangeContext(ctx, payload, bits) // on the network's engine
+//	    return err
+//	}) // concurrent-safe
 //
 // Deployments larger than the slow-time tone budget attach a FrameSchedule
 // (NewFrameSchedule, WithSchedule): tags in different frame groups reuse
@@ -221,7 +225,7 @@ type (
 	// engines with depth-16 queues.
 	FleetConfig = core.FleetConfig
 	// FleetNetwork is one resident network of a Fleet: a concurrent-safe
-	// handle mirroring Network's pipeline entry points.
+	// handle whose Do runs pipeline calls on the network's engine.
 	FleetNetwork = core.FleetNetwork
 	// FrameSchedule partitions a deployment into frame groups so tags in
 	// different groups reuse uplink FSK tone pairs (TDMA across frames).

@@ -2,6 +2,7 @@ package biscatter
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 )
@@ -77,7 +78,11 @@ func TestFacadeFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := []byte("fleet api")
-	res, err := fn.Exchange(payload, map[int][]bool{0: {true, false}})
+	var res *ExchangeResult
+	err = fn.Do(context.Background(), func(ctx context.Context, n *Network) (err error) {
+		res, err = n.ExchangeContext(ctx, payload, map[int][]bool{0: {true, false}})
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

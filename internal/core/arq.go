@@ -114,28 +114,12 @@ type DeliveryReport struct {
 	AttemptLog []AttemptReport
 }
 
-// DeliverReliable implements the on-demand retransmission loop that §1
-// motivates as a key benefit of downlink capability: without write access a
-// tag can never request a retransmission, so every lost packet is lost
-// forever. Each attempt is two frames: the payload frame, then an
-// acknowledgment frame on which the node modulates its verdict with
-// configurable redundancy. It is DeliverReliableContext with a background
-// context and default options (except the attempt bound).
-//
-// Deprecated: use DeliverReliableContext with DeliverOptions, which carries
-// the full retry policy (attempt budget, ACK redundancy, backoff schedule)
-// and honors cancellation between frames.
-func (n *Network) DeliverReliable(nodeIdx int, payload []byte, maxAttempts int) (DeliveryReport, error) {
-	if maxAttempts < 1 {
-		return DeliveryReport{}, fmt.Errorf("core: maxAttempts %d must be positive", maxAttempts)
-	}
-	return n.DeliverReliableContext(context.Background(), nodeIdx, payload, DeliverOptions{MaxAttempts: maxAttempts})
-}
-
-// DeliverReliableContext runs the context-aware ARQ engine. Each attempt is
-// two frames — payload downlink, then an acknowledgment frame on which the
-// node repeats its verdict across opts.AckBits uplink bits for the radar to
-// majority-vote. Failed attempts back off exponentially with deterministic
+// DeliverReliableContext implements the on-demand retransmission loop that
+// §1 motivates as a key benefit of downlink capability: without write
+// access a tag can never request a retransmission, so every lost packet is
+// lost forever. Each attempt is two frames — payload downlink, then an
+// acknowledgment frame on which the node repeats its verdict across
+// opts.AckBits uplink bits for the radar to majority-vote. Failed attempts back off exponentially with deterministic
 // seeded jitter before retrying; the delays are recorded in the report and,
 // when opts.Sleep is set, actually slept. ctx is checked between frames and
 // propagated into every exchange, so cancellation (or a deadline) aborts

@@ -13,11 +13,11 @@ func TestDeliverReliableValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.DeliverReliable(5, []byte{1}, 3); err == nil {
+	if _, err := n.DeliverReliableContext(context.Background(), 5, []byte{1}, DeliverOptions{MaxAttempts: 3}); err == nil {
 		t.Error("out-of-range node should fail")
 	}
-	if _, err := n.DeliverReliable(0, []byte{1}, 0); err == nil {
-		t.Error("zero attempts should fail")
+	if _, err := n.DeliverReliableContext(context.Background(), 0, []byte{1}, DeliverOptions{MaxAttempts: -1}); err == nil {
+		t.Error("non-positive attempts should fail")
 	}
 }
 
@@ -26,7 +26,7 @@ func TestDeliverReliableFirstTryAtShortRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := n.DeliverReliable(0, []byte("config v2"), 4)
+	rep, err := n.DeliverReliableContext(context.Background(), 0, []byte("config v2"), DeliverOptions{MaxAttempts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestDeliverReliableRetransmitsAtMarginalRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := n.DeliverReliable(0, RandomPayload(int64(trial), 10), 6)
+		rep, err := n.DeliverReliableContext(context.Background(), 0, RandomPayload(int64(trial), 10), DeliverOptions{MaxAttempts: 6})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestDeliverReliableGivesUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := n.DeliverReliable(0, []byte("unreachable"), 2)
+	rep, err := n.DeliverReliableContext(context.Background(), 0, []byte("unreachable"), DeliverOptions{MaxAttempts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

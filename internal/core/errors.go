@@ -26,4 +26,8 @@ var (
 	// ErrFleetClosed is returned by Fleet methods after Close: the engines
 	// have drained their queues and exited, so no further work is accepted.
 	ErrFleetClosed = errors.New("core: fleet is closed")
+
+	// ErrTooManyTags means a served deployment's tag IDs do not fit the
+	// 1-byte wire ID: it places no tags, or its IDs would run past 255.
+	ErrTooManyTags = errors.New("core: tag IDs must fit 1–255")
 )

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"biscatter/internal/fmcw"
-	"biscatter/internal/radar"
 	"biscatter/internal/telemetry"
 )
 
@@ -305,12 +303,13 @@ func (f *Fleet) Close() {
 	f.wg.Wait()
 }
 
-// FleetNetwork is one resident network of a Fleet: a handle whose methods
-// mirror Network's pipeline entry points but execute on the network's
-// engine, serialized with the network's other requests. The handle is safe
-// for concurrent use; concurrent calls on the same handle are run one at a
-// time in queue order (results follow the per-network ownership contract —
-// valid until the handle's next call).
+// FleetNetwork is one resident network of a Fleet: a handle whose Do runs
+// any pipeline call (Exchange, ExchangeScheduled, Localize,
+// MapEnvironment, ...) on the network's engine, serialized with the
+// network's other requests. The handle is safe for concurrent use;
+// concurrent calls on the same handle are run one at a time in queue order
+// (results follow the per-network ownership contract — valid until the
+// handle's next call).
 type FleetNetwork struct {
 	fleet *Fleet
 	eng   *engine
@@ -331,127 +330,32 @@ func (fn *FleetNetwork) Engine() int { return fn.eng.id }
 // Network returns the underlying network for configuration inspection
 // (Config, Alphabet, DownlinkDataRate, ...). Do NOT call pipeline methods
 // (Exchange, Localize, ...) on it directly while the fleet serves it — that
-// would race the engine; go through the FleetNetwork methods instead.
+// would race the engine; go through Do instead.
 func (fn *FleetNetwork) Network() *Network { return fn.net }
 
 // Do runs f on the network's engine, serialized with the network's other
-// requests — the escape hatch for recorder-bound drivers (a GatewayMux
-// running an ExchangeRecorder against the resident network) that need
-// engine affinity for a call pattern the method wrappers don't cover. f
-// receives the resident network; everything it produces follows the
-// per-network ownership contract (valid until the handle's next request).
-// The returned error is f's own unless scheduling failed (context done,
-// fleet closed).
+// requests, and is the handle's only way to run the pipeline:
+//
+//	err := fn.Do(ctx, func(ctx context.Context, n *Network) error {
+//		res, err = n.ExchangeContext(ctx, payload, bits)
+//		return err
+//	})
+//
+// Submission blocks while the engine queue is full (backpressure — bound
+// it with a context deadline); f receives ctx, so the call it makes is
+// cancelled cooperatively once it runs. f receives the resident network;
+// everything it produces follows the per-network ownership contract (valid
+// until the handle's next request). The returned error is f's own unless
+// scheduling failed (context done, fleet closed).
 func (fn *FleetNetwork) Do(ctx context.Context, f func(ctx context.Context, n *Network) error) error {
 	var rerr error
-	if err := fn.fleet.do(ctx, fn.eng, func(ctx context.Context) {
-		rerr = f(ctx, fn.net)
-	}); err != nil {
-		fn.outcome(err)
-		return err
+	err := fn.fleet.do(ctx, fn.eng, func(ctx context.Context) { rerr = f(ctx, fn.net) })
+	if err == nil {
+		err = rerr
 	}
-	fn.outcome(rerr)
-	return rerr
-}
-
-// outcome tallies one request's per-network counters.
-func (fn *FleetNetwork) outcome(err error) {
 	fn.requests.Inc()
 	if err != nil {
 		fn.errors.Inc()
 	}
-}
-
-// ExchangeContext schedules one integrated ISAC round on the network's
-// engine and returns its result; see Network.ExchangeContext for the round
-// semantics. Submission blocks while the engine queue is full (backpressure
-// — bound it with a context deadline); ctx also cancels the round itself
-// cooperatively once it runs.
-func (fn *FleetNetwork) ExchangeContext(ctx context.Context, payload []byte, uplinkBits map[int][]bool, opts ...ExchangeOption) (*ExchangeResult, error) {
-	var (
-		res  *ExchangeResult
-		rerr error
-	)
-	if err := fn.fleet.do(ctx, fn.eng, func(ctx context.Context) {
-		res, rerr = fn.net.ExchangeContext(ctx, payload, uplinkBits, opts...)
-	}); err != nil {
-		fn.outcome(err)
-		return nil, err
-	}
-	fn.outcome(rerr)
-	return res, rerr
-}
-
-// Exchange is ExchangeContext with a background context: it waits for a
-// queue slot indefinitely.
-func (fn *FleetNetwork) Exchange(payload []byte, uplinkBits map[int][]bool, opts ...ExchangeOption) (*ExchangeResult, error) {
-	return fn.ExchangeContext(context.Background(), payload, uplinkBits, opts...)
-}
-
-// ExchangeScheduledContext schedules one full frame-schedule cycle (every
-// node served once) as a single engine request, so the cycle's rounds are
-// never interleaved with other requests on this network; see
-// Network.ExchangeScheduledContext.
-func (fn *FleetNetwork) ExchangeScheduledContext(ctx context.Context, payload []byte, uplinkBits map[int][]bool, opts ...ExchangeOption) (*ScheduledResult, error) {
-	var (
-		res  *ScheduledResult
-		rerr error
-	)
-	if err := fn.fleet.do(ctx, fn.eng, func(ctx context.Context) {
-		res, rerr = fn.net.ExchangeScheduledContext(ctx, payload, uplinkBits, opts...)
-	}); err != nil {
-		fn.outcome(err)
-		return nil, err
-	}
-	fn.outcome(rerr)
-	return res, rerr
-}
-
-// ExchangeScheduled is ExchangeScheduledContext with a background context.
-func (fn *FleetNetwork) ExchangeScheduled(payload []byte, uplinkBits map[int][]bool, opts ...ExchangeOption) (*ScheduledResult, error) {
-	return fn.ExchangeScheduledContext(context.Background(), payload, uplinkBits, opts...)
-}
-
-// LocalizeContext schedules a sensing round on the network's engine; see
-// Network.LocalizeContext.
-func (fn *FleetNetwork) LocalizeContext(ctx context.Context, frame *fmcw.Frame, chirps int) ([]radar.Detection, error) {
-	var (
-		dets []radar.Detection
-		rerr error
-	)
-	if err := fn.fleet.do(ctx, fn.eng, func(ctx context.Context) {
-		dets, rerr = fn.net.LocalizeContext(ctx, frame, chirps)
-	}); err != nil {
-		fn.outcome(err)
-		return nil, err
-	}
-	fn.outcome(rerr)
-	return dets, rerr
-}
-
-// Localize is LocalizeContext with a background context.
-func (fn *FleetNetwork) Localize(frame *fmcw.Frame, chirps int) ([]radar.Detection, error) {
-	return fn.LocalizeContext(context.Background(), frame, chirps)
-}
-
-// MapEnvironmentContext schedules an environment-mapping round on the
-// network's engine; see Network.MapEnvironmentContext.
-func (fn *FleetNetwork) MapEnvironmentContext(ctx context.Context, chirps int) ([]radar.MapTarget, error) {
-	var (
-		targets []radar.MapTarget
-		rerr    error
-	)
-	if err := fn.fleet.do(ctx, fn.eng, func(ctx context.Context) {
-		targets, rerr = fn.net.MapEnvironmentContext(ctx, chirps)
-	}); err != nil {
-		fn.outcome(err)
-		return nil, err
-	}
-	fn.outcome(rerr)
-	return targets, rerr
-}
-
-// MapEnvironment is MapEnvironmentContext with a background context.
-func (fn *FleetNetwork) MapEnvironment(chirps int) ([]radar.MapTarget, error) {
-	return fn.MapEnvironmentContext(context.Background(), chirps)
+	return err
 }

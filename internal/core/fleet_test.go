@@ -53,6 +53,16 @@ func compareNodeResults(t *testing.T, label string, a, b *ExchangeResult) {
 	}
 }
 
+// exchangeOn runs one exchange on the handle's engine through Do.
+func exchangeOn(ctx context.Context, fn *FleetNetwork, payload []byte, uplink map[int][]bool) (*ExchangeResult, error) {
+	var res *ExchangeResult
+	err := fn.Do(ctx, func(ctx context.Context, n *Network) (err error) {
+		res, err = n.ExchangeContext(ctx, payload, uplink)
+		return err
+	})
+	return res, err
+}
+
 // TestFleetMatchesSerialNetwork is the fleet determinism pin: 8 networks on
 // a 2-engine fleet, driven concurrently, must produce exchange sequences
 // byte-identical to standalone Networks advanced with the same seeds and the
@@ -82,7 +92,7 @@ func TestFleetMatchesSerialNetwork(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				payload := RandomPayload(int64(id*100+r), 3)
 				uplink := map[int][]bool{0: {r%2 == 0, true}, 1: {false, r%2 == 1}}
-				got, err := fn.Exchange(payload, uplink)
+				got, err := exchangeOn(context.Background(), fn, payload, uplink)
 				if err != nil {
 					t.Errorf("net %d round %d: fleet: %v", id, r, err)
 					return
@@ -120,7 +130,7 @@ func TestFleetSharedHandleSerializes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < 3; r++ {
-				if _, err := fn.Exchange(payload, uplink); err != nil {
+				if _, err := exchangeOn(context.Background(), fn, payload, uplink); err != nil {
 					t.Errorf("shared-handle exchange: %v", err)
 					return
 				}
@@ -151,7 +161,7 @@ func TestFleetBackpressureDeadline(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if _, err := fn.ExchangeContext(ctx, []byte{1}, nil); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := exchangeOn(ctx, fn, []byte{1}, nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("wedged fleet submission returned %v, want DeadlineExceeded", err)
 	}
 	if got := m.Counter("fleet.rejected").Value(); got != 1 {
@@ -161,7 +171,7 @@ func TestFleetBackpressureDeadline(t *testing.T) {
 	// An unbounded submission waits for the wedge to clear and then runs.
 	res := make(chan error, 1)
 	go func() {
-		_, err := fn.Exchange([]byte{2}, nil)
+		_, err := exchangeOn(context.Background(), fn, []byte{2}, nil)
 		res <- err
 	}()
 	select {
@@ -188,7 +198,7 @@ func TestFleetPreCancelledContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := fn.ExchangeContext(ctx, []byte{1}, nil); !errors.Is(err, context.Canceled) {
+	if _, err := exchangeOn(ctx, fn, []byte{1}, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled submission returned %v, want Canceled", err)
 	}
 }
@@ -201,12 +211,12 @@ func TestFleetClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fn.Exchange([]byte{0xA5}, map[int][]bool{0: {true}}); err != nil {
+	if _, err := exchangeOn(context.Background(), fn, []byte{0xA5}, map[int][]bool{0: {true}}); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
 	f.Close() // idempotent
-	if _, err := fn.Exchange([]byte{1}, nil); !errors.Is(err, ErrFleetClosed) {
+	if _, err := exchangeOn(context.Background(), fn, []byte{1}, nil); !errors.Is(err, ErrFleetClosed) {
 		t.Fatalf("post-close exchange returned %v, want ErrFleetClosed", err)
 	}
 	if _, err := f.AddNetwork(fleetNodeConfig(1)); !errors.Is(err, ErrFleetClosed) {
@@ -262,10 +272,10 @@ func TestFleetTelemetry(t *testing.T) {
 	uplink := map[int][]bool{0: {true}, 1: {false}}
 	const each = 3
 	for r := 0; r < each; r++ {
-		if _, err := a.Exchange(payload, uplink); err != nil {
+		if _, err := exchangeOn(context.Background(), a, payload, uplink); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := b.Exchange(payload, uplink); err != nil {
+		if _, err := exchangeOn(context.Background(), b, payload, uplink); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -305,14 +315,18 @@ func TestFleetLocalizeAndMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dets, err := fn.Localize(nil, 128)
+	err = fn.Do(context.Background(), func(ctx context.Context, n *Network) error {
+		dets, err := n.LocalizeContext(ctx, nil, 128)
+		if err != nil {
+			return err
+		}
+		if len(dets) != 2 {
+			t.Errorf("got %d detections, want 2", len(dets))
+		}
+		_, err = n.MapEnvironmentContext(ctx, 128)
+		return err
+	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dets) != 2 {
-		t.Fatalf("got %d detections, want 2", len(dets))
-	}
-	if _, err := fn.MapEnvironment(128); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -339,12 +353,12 @@ func TestFleetSteadyStateAllocsPerEngine(t *testing.T) {
 	payload := []byte{0xA5}
 	uplink := map[int][]bool{0: {true, false}, 1: {false, true}}
 	for i := 0; i < 3; i++ {
-		if _, err := fn.Exchange(payload, uplink); err != nil {
+		if _, err := exchangeOn(context.Background(), fn, payload, uplink); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := fn.Exchange(payload, uplink); err != nil {
+		if _, err := exchangeOn(context.Background(), fn, payload, uplink); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -329,7 +330,7 @@ func TestFleetPropagatesTracing(t *testing.T) {
 		handles = append(handles, fn)
 	}
 	for _, fn := range handles {
-		if _, err := fn.Exchange([]byte{0x7}, nil); err != nil {
+		if _, err := exchangeOn(context.Background(), fn, []byte{0x7}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -200,7 +200,7 @@ func (m *GatewayMux) ExchangeFunc() netio.ExchangeFunc {
 					continue
 				}
 				if _, submitted := perNet[ni][t.node]; submitted {
-					outcomes[tagID] = digestOutcome(nodeResults[ni][t.node])
+					outcomes[tagID] = wireOutcome(nodeOutcome(nodeResults[ni][t.node]))
 				}
 			}
 		}
@@ -281,27 +281,4 @@ func NewGatewayHandler(rec *ExchangeRecorder, payload func(round uint64) []byte)
 		return nil, err
 	}
 	return mux.ExchangeFunc(), nil
-}
-
-// digestOutcome converts a NodeResult into its wire digest — the same
-// fields (and the same deep copies) as the replay layer's
-// outcomesFromNodes.
-func digestOutcome(nr NodeResult) netio.Outcome {
-	o := netio.Outcome{
-		DownlinkPayload: append([]byte(nil), nr.DownlinkPayload...),
-		DetectionRange:  nr.Detection.Range,
-		DetectionBin:    int32(nr.Detection.Bin),
-		DetectionSNRdB:  nr.Detection.SNRdB,
-		UplinkBits:      append([]bool(nil), nr.UplinkBits...),
-	}
-	if nr.DownlinkErr != nil {
-		o.DownlinkErr = nr.DownlinkErr.Error()
-	}
-	if nr.DetectionErr != nil {
-		o.DetectionErr = nr.DetectionErr.Error()
-	}
-	if nr.UplinkErr != nil {
-		o.UplinkErr = nr.UplinkErr.Error()
-	}
-	return o
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -83,7 +84,12 @@ func FleetSweep(n, rounds int, o Options) (FleetPoint, error) {
 			for r := 0; r < rounds; r++ {
 				payload := core.RandomPayload(o.Seed+int64(id*1000+r), 4)
 				uplink := map[int][]bool{0: {r%2 == 0, true}, 1: {false, r%2 == 1}}
-				res, err := fn.Exchange(payload, uplink)
+				var res *core.ExchangeResult
+				err := fn.Do(context.Background(), func(ctx context.Context, n *core.Network) error {
+					var err error
+					res, err = n.ExchangeContext(ctx, payload, uplink)
+					return err
+				})
 				mu.Lock()
 				if err != nil {
 					if firstErr == nil {

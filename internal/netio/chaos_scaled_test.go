@@ -9,40 +9,12 @@ package netio_test
 
 import (
 	"context"
-	"fmt"
-	"sync"
 	"testing"
 	"time"
 
 	"biscatter/internal/core"
-	"biscatter/internal/mac"
 	"biscatter/internal/netio"
-	"biscatter/internal/telemetry"
 )
-
-// scaledConfig builds a 16-node network TDM'd into 4-tag frame groups.
-// Slots within a group reuse the validated 4-pair tone table (tags in
-// different frames never modulate together, so the deployment exceeds the
-// single-frame band limit by design).
-func scaledConfig(t *testing.T, nTags, capacity int) core.Config {
-	t.Helper()
-	sched, err := mac.NewFrameSchedule(nTags, capacity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tones := [][2]float64{{1000, 1400}, {1800, 2200}, {2600, 3000}, {3400, 3800}}
-	nodes := make([]core.NodeConfig, nTags)
-	for i := range nodes {
-		group, slot := sched.Assignment(i)
-		nodes[i] = core.NodeConfig{
-			ID:           uint8(i + 1),
-			Range:        1.5 + 1.2*float64(slot) + 0.3*float64(group),
-			ModulationF0: tones[slot][0],
-			ModulationF1: tones[slot][1],
-		}
-	}
-	return core.Config{Nodes: nodes, Seed: 424, ChirpsPerBit: 16, Schedule: sched}
-}
 
 // TestChaosScheduledScaled is the scaled acceptance run: 16 tags over 4
 // frame groups complete a multi-round schedule-aware run under the chaos
@@ -61,144 +33,36 @@ func TestChaosScheduledScaled(t *testing.T) {
 	}
 }
 
+// runScaledChaos serves 16 tags in 4-tag frame groups on core.Loopback,
+// whose barrier budgets outwait a straggler's handshake retries: a partial
+// round here would break the full-fleet conformance this test pins.
 func runScaledChaos(t *testing.T, transport string) {
 	const (
 		nTags    = 16
 		capacity = 4
 		rounds   = 2
 	)
-	cfg := scaledConfig(t, nTags, capacity)
-	net, err := core.NewNetwork(cfg, core.WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := core.NewExchangeRecorder(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := func(round uint64) []byte { return core.RandomPayload(int64(round)+99, 2) }
-	fn, err := core.NewGatewayHandler(rec, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	m := telemetry.New()
-	gwConn, err := netio.ListenTransport(transport, "127.0.0.1:0",
-		netio.WithMetrics(m), netio.WithNetFaults(chaosProfile(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gwConn.Close()
-
-	gw := netio.NewGateway(gwConn, netio.GatewayConfig{
-		Schedule:          cfg.Schedule,
-		MinSessions:       nTags,
-		Rounds:            rounds,
-		HeartbeatInterval: 200 * time.Millisecond,
-		SessionTimeout:    60 * time.Second,
-		// The barrier must outwait a straggler's handshake retries (its
-		// session exists from the first lossy Hello, so MinSessions alone
-		// does not hold the round): a partial round here would break the
-		// full-fleet conformance this test pins. When all 16 tags submit,
-		// the barrier closes immediately — these are straggler budgets, not
-		// steady-state latency.
-		RoundTimeout: 30 * time.Second,
-		FrameTimeout: 10 * time.Second,
-		// With 16 lossy endpoints some Goodbye almost always drops; don't
-		// wait out SessionTimeout for the eviction before exiting.
-		Linger: 5 * time.Second,
-		Poll:              5 * time.Millisecond,
-		Metrics:           m,
-	}, fn)
-
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
-	gwDone := make(chan error, 1)
-	go func() { gwDone <- gw.Run(ctx) }()
-
-	errs := make([]error, nTags)
-	var wg sync.WaitGroup
-	for i := 0; i < nTags; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			tag := uint8(i + 1)
-			conn, err := netio.ListenTransport(transport, "127.0.0.1:0",
-				netio.WithMetrics(m), netio.WithNetFaults(chaosProfile(100+int64(i))))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer conn.Close()
-			c, err := netio.Dial(conn, gwConn.Addr().String(), netio.ClientConfig{
-				TagID:          tag,
-				Seed:           int64(tag),
-				AttemptTimeout: 500 * time.Millisecond,
-				MaxAttempts:    40,
-				DialAttempts:   40,
-				Metrics:        m,
-			})
-			if err != nil {
-				errs[i] = fmt.Errorf("dial tag %d: %w", tag, err)
-				return
-			}
-			defer c.Close()
-			for r := uint64(0); r < rounds; r++ {
-				res, err := c.SubmitRound(ctx, tagBits(tag, r))
-				if err != nil {
-					errs[i] = fmt.Errorf("tag %d round %d: %w", tag, r, err)
-					return
-				}
-				if res.Status != netio.RoundOK {
-					errs[i] = fmt.Errorf("tag %d round %d: status %s", tag, r, res.Status)
-					return
-				}
-			}
-		}(i)
+	res, err := core.Loopback{
+		Config:    chaosConfig(t, nTags, capacity),
+		Transport: transport,
+		Faults:    chaosProfile(7),
+		Rounds:    rounds,
+	}.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	select {
-	case err := <-gwDone:
-		if err != nil {
-			t.Fatalf("gateway: %v", err)
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("gateway did not finish after all tags closed")
-	}
-
-	record := rec.Record()
-	if len(record.Rounds) != rounds {
-		t.Fatalf("recorded %d rounds, want %d", len(record.Rounds), rounds)
-	}
-	for r, round := range record.Rounds {
+	checkChaosRun(t, res, nTags, rounds)
+	for r, round := range res.Record.Rounds {
 		if !round.Input.Scheduled {
 			t.Fatalf("round %d was not recorded as a scheduled cycle", r)
-		}
-		if round.Input.Active != nil {
-			t.Fatalf("round %d ran with a partial fleet %v", r, round.Input.Active)
 		}
 		if len(round.Input.UplinkBits) != nTags {
 			t.Fatalf("round %d served %d tags, want %d", r, len(round.Input.UplinkBits), nTags)
 		}
 	}
-	replayBothWays(t, t.TempDir(), record)
-
-	if got := m.Counter("netio.rounds").Value(); got != rounds {
-		t.Fatalf("netio.rounds = %d, want %d", got, rounds)
-	}
-	if got := m.Counter("netio.sessions.accepted").Value(); got != nTags {
-		t.Fatalf("netio.sessions.accepted = %d, want %d", got, nTags)
-	}
-	if got := m.Counter("netio.admission.admitted").Value(); got != nTags {
+	if got := res.Metrics.Counter("netio.admission.admitted").Value(); got != nTags {
 		t.Fatalf("netio.admission.admitted = %d, want %d", got, nTags)
-	}
-	if m.Counter("netio.fault.dropped").Value() == 0 {
-		t.Fatal("fault injector dropped nothing — the chaos run was not chaotic")
 	}
 }

@@ -25,7 +25,8 @@ func TestRecvTimeoutSentinel(t *testing.T) {
 	}
 }
 
-// TestRecvClosedSentinel pins that a closed socket surfaces as ErrClosed.
+// TestRecvClosedSentinel pins that a closed socket surfaces as ErrClosed,
+// whether Close interrupts a Recv or comes before it.
 func TestRecvClosedSentinel(t *testing.T) {
 	n, err := Listen("127.0.0.1:0")
 	if err != nil {
@@ -48,6 +49,11 @@ func TestRecvClosedSentinel(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Recv did not return after Close")
+	}
+	// A Recv that starts after Close fails setting its deadline; that is
+	// closure too, or a supervision loop would spin on it.
+	if _, _, err := n.Recv(time.Second); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Recv after Close: want ErrClosed, got %v", err)
 	}
 }
 

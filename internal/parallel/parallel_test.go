@@ -157,9 +157,6 @@ func TestInstrumentedPoolCounts(t *testing.T) {
 		if got := s.Histograms["parallel.task.seconds"].Count; got != 2*n {
 			t.Errorf("workers=%d: task duration samples = %d, want %d", workers, got, 2*n)
 		}
-		if got := s.Histograms["parallel.queue_wait.seconds"].Count; got != 2*n {
-			t.Errorf("workers=%d: queue wait samples = %d, want %d", workers, got, 2*n)
-		}
 		if got := s.Gauges["parallel.workers_busy"]; got != 0 {
 			t.Errorf("workers=%d: workers_busy after join = %v, want 0", workers, got)
 		}
@@ -292,20 +289,37 @@ func TestForArenaOverlappingLoops(t *testing.T) {
 
 func TestArenaFootprintStabilizes(t *testing.T) {
 	p := New(2)
-	var after2 int
-	for iter := 0; iter < 50; iter++ {
+	loop := func() {
 		p.ForArena(256, func(i int, a *dsp.Arena) {
 			a.Complex(4096)
 			a.Float(512)
 		})
-		if iter == 1 {
-			after2 = p.ArenaFootprintBytes()
+	}
+	// Which workers claim tasks is up to the scheduler: one worker can drain
+	// a whole loop before the other starts. Take the baseline once every
+	// worker arena has served a task, or a late first use reads as growth.
+	warm := func() bool {
+		for _, a := range p.arenas {
+			if a.HighWaterBytes() == 0 {
+				return false
+			}
 		}
+		return len(p.arenas) == 2
 	}
-	if got := p.ArenaFootprintBytes(); got != after2 {
-		t.Fatalf("pool arena footprint grew: %d after 2 loops, %d after 50", after2, got)
+	for iter := 0; iter < 2 || !warm(); iter++ {
+		if iter == 1000 {
+			t.Fatal("a worker arena never served a task")
+		}
+		loop()
 	}
-	if after2 == 0 {
+	base := p.ArenaFootprintBytes()
+	for iter := 0; iter < 48; iter++ {
+		loop()
+	}
+	if got := p.ArenaFootprintBytes(); got != base {
+		t.Fatalf("pool arena footprint grew: %d once warm, %d after 48 more loops", base, got)
+	}
+	if base == 0 {
 		t.Fatal("pool arena footprint should be nonzero after arena loops")
 	}
 }
