@@ -90,11 +90,11 @@
 //	// ... run exchanges ...
 //	snap := net.Metrics() // or m.Snapshot()
 //
-// WithTelemetry additionally streams structured pipeline events to a
-// Recorder. Counter values are deterministic for a given workload at any
-// worker count; timings and live pool gauges are not. See DESIGN.md
-// "Telemetry" for the metric naming scheme and the command-line debug
-// endpoints (-debug-addr, -metrics-out).
+// WithTracer additionally collects one causal span tree per exchange, its
+// spans named like the stage histograms. Counter values are deterministic
+// for a given workload at any worker count; timings and live pool gauges
+// are not. See DESIGN.md "Telemetry" for the metric naming scheme and the
+// command-line debug endpoints (-debug-addr, -metrics-out).
 package biscatter
 
 import (
@@ -153,7 +153,7 @@ type (
 	DetectionDiag = radar.DetectionDiag
 	// Metrics is a telemetry registry: lock-cheap counters, gauges and
 	// latency histograms the pipeline records into when attached via
-	// WithMetrics or WithTelemetry.
+	// WithMetrics.
 	Metrics = telemetry.Metrics
 	// Snapshot is a point-in-time JSON-marshalable view of a Metrics
 	// registry.
@@ -161,12 +161,6 @@ type (
 	// HistogramStats summarizes one latency histogram (count, sum, mean,
 	// min, max, p50/p95/p99).
 	HistogramStats = telemetry.HistogramStats
-	// Recorder consumes structured pipeline events; see WithTelemetry.
-	Recorder = telemetry.Recorder
-	// Event is one structured pipeline event.
-	Event = telemetry.Event
-	// SliceRecorder is an in-memory Recorder for tests and tools.
-	SliceRecorder = telemetry.SliceRecorder
 	// FaultProfile is a named impairment scenario applied to a network via
 	// WithFaults: burst interference, chirp dropouts, moving clutter and
 	// per-tag front-end degradations, all seeded and reproducible.
@@ -186,7 +180,7 @@ type (
 	Desync = fault.Desync
 	// Option is a functional option for NewNetwork; see WithWorkers,
 	// WithPreset, WithClutter, WithSeed, WithNodes, WithFaults, WithMetrics
-	// and WithTelemetry.
+	// and WithTracer.
 	Option = core.Option
 	// ExchangeOption customizes a single Exchange round; see WithMinChirps.
 	ExchangeOption = core.ExchangeOption
@@ -358,11 +352,6 @@ func WithFaults(p *FaultProfile) Option { return core.WithFaults(p) }
 // Network.Metrics() or Metrics.Snapshot(). A registry may be shared across
 // networks to aggregate. Telemetry never influences exchange results.
 func WithMetrics(m *Metrics) Option { return core.WithMetrics(m) }
-
-// WithTelemetry attaches a structured event recorder and ensures a metrics
-// registry exists — the one-call way to turn the full observability surface
-// on.
-func WithTelemetry(rec Recorder) Option { return core.WithTelemetry(rec) }
 
 // NewMetrics returns an empty telemetry registry for WithMetrics.
 func NewMetrics() *Metrics { return telemetry.New() }

@@ -41,6 +41,7 @@ import (
 	"biscatter/internal/fec"
 	"biscatter/internal/netio"
 	"biscatter/internal/radar"
+	"biscatter/internal/tag"
 	"biscatter/internal/telemetry"
 	"biscatter/internal/trace"
 )
@@ -255,7 +256,7 @@ func run(tagAddr, listen string, tagRange float64, payload string, bits int, fec
 		conn.Addr(), peer, tagRange, netw.Link().DownlinkSNRdB(tagRange))
 
 	for round := 0; round < rounds; round++ {
-		if err := exchange(conn, peer, netw, tracer, uint32(round), []byte(payload), tagRange); err != nil {
+		if err := exchange(conn, peer, netw, metrics, tracer, uint32(round), []byte(payload), tagRange); err != nil {
 			return fmt.Errorf("round %d: %w", round, err)
 		}
 	}
@@ -272,29 +273,34 @@ func run(tagAddr, listen string, tagRange float64, payload string, bits int, fec
 	return nil
 }
 
-func exchange(conn *netio.Node, peer *net.UDPAddr, netw *core.Network,
+func exchange(conn *netio.Node, peer *net.UDPAddr, netw *core.Network, m *telemetry.Metrics,
 	tracer *telemetry.Tracer, seq uint32, payload []byte, tagRange float64) (err error) {
 
 	cfg := netw.Config()
 	// The exchange runs as a hand-driven pipeline (the tag lives in another
-	// process), so the span tree is built by hand too: the round's sequence
-	// number doubles as the exchange sequence so the radar's and tag's
-	// traces correlate by ID across the two processes.
-	var root *telemetry.SpanNode
+	// process), so the span tree is built by hand too, on the same stages
+	// the in-process exchange uses. The round's sequence number doubles as
+	// the exchange sequence so the radar's and tag's traces correlate by ID
+	// across the two processes; the radar opens its own observe and correct
+	// spans under the round's span.
+	ctx := context.Background()
+	var xs telemetry.StageRun
 	if tracer != nil {
-		tr := telemetry.BeginTrace(telemetry.NewExchangeID(cfg.Seed, 0, uint64(seq)), 0, uint64(seq), "exchange")
-		root = tr.Root
-		defer func() {
-			root.Fail(err)
-			root.End()
-			tracer.Collect(tr)
-		}()
+		var tr *telemetry.Trace
+		xs, tr = m.Stage(core.StageExchange).BeginTrace(telemetry.NewExchangeID(cfg.Seed, 0, uint64(seq)), 0, uint64(seq))
+		defer tracer.Collect(tr)
+		ctx = telemetry.ContextWithSpan(ctx, xs.Span())
+	} else {
+		xs = m.Stage(core.StageExchange).Begin(nil, -1)
 	}
+	defer func() { xs.End(err) }()
+	root := xs.Span()
+
 	// Size the frame for the demo's worst-case uplink message (8 bits at
 	// ChirpsPerBit chirps each) so every uplink bit gets a full window.
-	fspan := root.Child("frame.build", -1)
+	fs := m.Stage(core.StageFrameBuild).Begin(root, -1)
 	frame, err := netw.BuildDownlinkFrame(payload, 8*cfg.ChirpsPerBit)
-	fspan.End()
+	fs.End(err)
 	if err != nil {
 		return err
 	}
@@ -311,84 +317,53 @@ func exchange(conn *netio.Node, peer *net.UDPAddr, netw *core.Network,
 		DownlinkSNRdB:  netw.Link().DownlinkSNRdB(tagRange),
 		Durations:      durs,
 	}
-	tspan := root.Child("tag.roundtrip", 0)
-	if err := conn.Send(peer, fd); err != nil {
-		tspan.Fail(err)
-		tspan.End()
+	report, plan, err := roundTrip(conn, peer, fd, m.Stage(stageTagRoundTrip).Begin(root, 0))
+	if err != nil {
 		return err
 	}
-
-	// Collect the tag's report and plan (order is not guaranteed).
-	var report *netio.TagReport
-	var plan *netio.ModulationPlan
-	for report == nil || plan == nil {
-		msg, _, err := conn.Recv(5 * time.Second)
-		if err != nil {
-			err = fmt.Errorf("waiting for tag: %w", err)
-			tspan.Fail(err)
-			tspan.End()
-			return err
-		}
-		switch m := msg.(type) {
-		case *netio.TagReport:
-			if m.Sequence == seq {
-				report = m
-			}
-		case *netio.ModulationPlan:
-			if m.Sequence == seq {
-				plan = m
-			}
-		}
-	}
-	tspan.End()
 	log.Printf("frame %d: tag report %v payload=%q", seq, report.Status, report.Payload)
 
 	// Synthesize the backscatter the radar would observe, using the tag's
 	// announced plan as the switching schedule.
-	sspan := root.Child("scene.build", -1)
-	bits := plan.GetBits()
-	states := squareStates(bits, plan.F0, plan.F1, int(plan.ChirpsPerBit), cfg.Period, len(frame.Chirps))
-	scene := radar.Scene{
-		Clutter: cfg.Clutter,
-		Tags: []radar.TagEcho{{
-			Range:    tagRange,
-			States:   states,
-			PowerDBm: netw.Link().UplinkRxPowerDBm(tagRange),
-		}},
+	ss := m.Stage(core.StageSceneBuild).Begin(root, -1)
+	scene, err := planScene(netw, plan, len(frame.Chirps), tagRange)
+	ss.End(err)
+	if err != nil {
+		return err
 	}
-	sspan.End()
-	ospan := root.Child("radar.observe", -1)
-	capt := netw.Radar().Observe(frame, scene)
-	ospan.End()
-	cspan := root.Child("radar.if_correction", -1)
-	cm, grid := netw.Radar().CorrectedMatrix(capt)
+	capt, err := netw.Radar().ObserveContext(ctx, frame, scene)
+	if err != nil {
+		return err
+	}
+	cm, grid, err := netw.Radar().CorrectedMatrixContext(ctx, capt)
+	if err != nil {
+		return err
+	}
 	matrix := radar.SubtractBackgroundMag(radar.MagnitudeMatrix(cm))
-	cspan.End()
-	dspan := root.Child("detect", 0)
+	ds := m.Stage(core.StageDetect).Begin(root, 0)
 	det, err := netw.Radar().DetectTag(matrix, grid, plan.F0, cfg.Period)
 	if err != nil {
 		det, err = netw.Radar().DetectTag(matrix, grid, plan.F1, cfg.Period)
 	}
 	if err != nil {
 		err = fmt.Errorf("tag not detected: %w", err)
-		dspan.Fail(err)
-		dspan.End()
+	}
+	ds.End(err)
+	if err != nil {
 		return err
 	}
-	dspan.End()
-	uspan := root.Child("uplink", 0)
+	bits := plan.GetBits()
+	us := m.Stage(core.StageUplinkDemod).Begin(root, 0)
 	got, err := netw.Radar().DecodeUplinkFSK(matrix, det.Bin, radar.UplinkFSKConfig{
 		F0: plan.F0, F1: plan.F1,
 		ChirpsPerBit: int(plan.ChirpsPerBit),
 		Period:       cfg.Period,
 	})
+	us.Span().SetAttr("bits", len(got))
+	us.End(err)
 	if err != nil {
-		uspan.Fail(err)
-		uspan.End()
 		return err
 	}
-	uspan.SetAttr("bits", len(got))
-	uspan.End()
 	if len(got) > len(bits) {
 		got = got[:len(bits)]
 	}
@@ -406,21 +381,52 @@ func exchange(conn *netio.Node, peer *net.UDPAddr, netw *core.Network,
 	return nil
 }
 
-// squareStates mirrors the tag modulator's FSK schedule from the plan.
-func squareStates(bits []bool, f0, f1 float64, chirpsPerBit int, period float64, n int) []bool {
-	out := make([]bool, n)
-	for k := 0; k < n; k++ {
-		t := float64(k) * period
-		freq := f0
-		if bi := k / chirpsPerBit; bi < len(bits) && bits[bi] {
-			freq = f1
-		}
-		out[k] = modHalf(t * freq)
+// stageTagRoundTrip is the demo's one stage of its own: announcing a frame
+// to the tag process and collecting its report and modulation plan.
+const stageTagRoundTrip = "tag.roundtrip"
+
+// roundTrip announces fd to the tag and collects its report and plan
+// (their order is not guaranteed), timing the wait as the stage rt.
+func roundTrip(conn *netio.Node, peer *net.UDPAddr, fd *netio.FrameDescriptor, rt telemetry.StageRun) (report *netio.TagReport, plan *netio.ModulationPlan, err error) {
+	defer func() { rt.End(err) }()
+	if err := conn.Send(peer, fd); err != nil {
+		return nil, nil, err
 	}
-	return out
+	for report == nil || plan == nil {
+		msg, _, err := conn.Recv(5 * time.Second)
+		if err != nil {
+			return nil, nil, fmt.Errorf("waiting for tag: %w", err)
+		}
+		switch m := msg.(type) {
+		case *netio.TagReport:
+			if m.Sequence == fd.Sequence {
+				report = m
+			}
+		case *netio.ModulationPlan:
+			if m.Sequence == fd.Sequence {
+				plan = m
+			}
+		}
+	}
+	return report, plan, nil
 }
 
-func modHalf(x float64) bool {
-	frac := x - float64(int64(x))
-	return frac < 0.5
+// planScene is the scene the radar observes while the tag follows its
+// announced plan over nChirps chirps. The plan arrives off the wire, so the
+// tag's own modulator validates it: a zero bit window or an out-of-band
+// tone fails the round instead of the process.
+func planScene(netw *core.Network, plan *netio.ModulationPlan, nChirps int, tagRange float64) (radar.Scene, error) {
+	cfg := netw.Config()
+	mod, err := tag.NewModulator(tag.SchemeFSK, plan.F0, plan.F1, cfg.Period, int(plan.ChirpsPerBit))
+	if err != nil {
+		return radar.Scene{}, fmt.Errorf("tag plan: %w", err)
+	}
+	return radar.Scene{
+		Clutter: cfg.Clutter,
+		Tags: []radar.TagEcho{{
+			Range:    tagRange,
+			States:   mod.States(plan.GetBits(), cfg.Period, nChirps),
+			PowerDBm: netw.Link().UplinkRxPowerDBm(tagRange),
+		}},
+	}, nil
 }

@@ -38,6 +38,7 @@ import (
 	"biscatter/internal/fec"
 	"biscatter/internal/fmcw"
 	"biscatter/internal/netio"
+	"biscatter/internal/tag"
 	"biscatter/internal/telemetry"
 	"biscatter/internal/trace"
 )
@@ -187,14 +188,15 @@ func handleFrame(conn *netio.Node, from *net.UDPAddr, netw *core.Network,
 
 	// The radar's frame sequence is this process's exchange sequence: both
 	// sides derive the same exchange ID from (seed, network 0, sequence), so
-	// their traces join up offline even though neither saw the other's.
+	// their traces join up offline even though neither saw the other's. The
+	// tag process keeps no metrics registry, so its stages only trace.
+	var reg *telemetry.Metrics
 	var root *telemetry.SpanNode
 	if tracer != nil {
-		tr := telemetry.BeginTrace(telemetry.NewExchangeID(netw.Config().Seed, 0, uint64(m.Sequence)), 0, uint64(m.Sequence), "exchange")
-		root = tr.Root
+		xs, tr := reg.Stage(core.StageExchange).BeginTrace(telemetry.NewExchangeID(netw.Config().Seed, 0, uint64(m.Sequence)), 0, uint64(m.Sequence))
+		root = xs.Span()
 		defer func() {
-			root.Fail(err)
-			root.End()
+			xs.End(err)
 			tracer.Collect(tr)
 		}()
 	}
@@ -212,10 +214,10 @@ func handleFrame(conn *netio.Node, from *net.UDPAddr, netw *core.Network,
 	if err != nil {
 		return err
 	}
-	cspan := root.Child("tag.capture", int(node.Tag.ID))
+	cs := reg.Stage(tag.StageCapture).Begin(root, int(node.Tag.ID))
 	x := node.Tag.FrontEnd.CaptureFrame(frame, m.DownlinkSNRdB)
-	cspan.SetAttr("samples", len(x))
-	cspan.End()
+	cs.Span().SetAttr("samples", len(x))
+	cs.End(nil)
 	if record != "" {
 		path := filepath.Join(record, fmt.Sprintf("frame%04d.bsct", m.Sequence))
 		err := trace.SaveEnvelope(path, &trace.EnvelopeCapture{
@@ -230,10 +232,9 @@ func handleFrame(conn *netio.Node, from *net.UDPAddr, netw *core.Network,
 			log.Printf("frame %d: record: %v", m.Sequence, err)
 		}
 	}
-	dspan := root.Child("tag.decode", int(node.Tag.ID))
+	ds := reg.Stage(tag.StageDecode).Begin(root, int(node.Tag.ID))
 	payload, diag, derr := node.Tag.Decoder.DecodePacket(x, netw.Packet())
-	dspan.Fail(derr)
-	dspan.End()
+	ds.End(derr)
 	report := &netio.TagReport{
 		Sequence:      m.Sequence,
 		TagID:         node.Tag.ID,
@@ -255,10 +256,9 @@ func handleFrame(conn *netio.Node, from *net.UDPAddr, netw *core.Network,
 		report.Status = netio.StatusBadCRC
 		log.Printf("frame %d: decode failed: %v", m.Sequence, derr)
 	}
-	rspan := root.Child("tag.reply", int(node.Tag.ID))
-	defer rspan.End()
+	rs := reg.Stage(stageReply).Begin(root, int(node.Tag.ID))
+	defer func() { rs.End(err) }()
 	if err := conn.Send(from, report); err != nil {
-		rspan.Fail(err)
 		return err
 	}
 	plan := &netio.ModulationPlan{
@@ -269,12 +269,12 @@ func handleFrame(conn *netio.Node, from *net.UDPAddr, netw *core.Network,
 		ChirpsPerBit: uint16(node.Uplink.ChirpsPerBit),
 	}
 	plan.SetBits(uplinkBits)
-	if err := conn.Send(from, plan); err != nil {
-		rspan.Fail(err)
-		return err
-	}
-	return nil
+	return conn.Send(from, plan)
 }
+
+// stageReply is the tag process's one stage of its own: sending the report
+// and modulation plan back to the radar.
+const stageReply = "tag.reply"
 
 func bytesToBits(data []byte) []bool {
 	out := make([]bool, 0, len(data)*8)

@@ -160,31 +160,22 @@ func (n *Network) ExchangeContext(ctx context.Context, payload []byte, uplinkBit
 	// disabled path allocation-free.
 	seq := n.seq
 	n.seq++
-	var root *telemetry.SpanNode
+	var xs telemetry.StageRun
 	var tr *telemetry.Trace
-	if n.tracer != nil || n.flight != nil || n.rec != nil {
+	if n.tracer != nil || n.flight != nil {
 		id := telemetry.NewExchangeID(n.cfg.Seed, n.cfg.NetworkID, seq)
-		if n.rec != nil {
-			n.exchID = id.String()
-		}
-		if n.tracer != nil || n.flight != nil {
-			tr = telemetry.BeginTrace(id, n.cfg.NetworkID, seq, "exchange")
-			root = tr.Root
-			ctx = telemetry.ContextWithSpan(telemetry.ContextWithExchangeID(ctx, id), root)
-		}
+		xs, tr = n.tel.exchange.BeginTrace(id, n.cfg.NetworkID, seq)
+		xs.Span().SetAttr("payload_bytes", len(payload))
+		xs.Span().SetAttr("nodes", len(n.nodes))
+		ctx = telemetry.ContextWithSpan(ctx, xs.Span())
+	} else {
+		xs = n.tel.exchange.Begin(nil, -1)
 	}
-	xsp := n.tel.exchange.Span()
+	root := xs.Span()
 	defer func() {
-		xsp.End()
+		xs.End(err)
 		outcome(err, n.tel.exchOK, n.tel.exchErr)
-		if n.rec != nil {
-			n.event("exchange.end", -1, map[string]any{"ok": err == nil})
-			n.exchID = ""
-		}
 		if tr != nil {
-			root.Fail(err)
-			root.SetAttr("nodes", len(n.nodes))
-			root.End()
 			n.tracer.Collect(tr)
 			n.flight.Add(tr)
 			if err != nil {
@@ -192,11 +183,6 @@ func (n *Network) ExchangeContext(ctx context.Context, payload []byte, uplinkBit
 			}
 		}
 	}()
-	if n.rec != nil {
-		n.event("exchange.begin", -1, map[string]any{
-			"payload_bytes": len(payload), "nodes": len(n.nodes),
-		})
-	}
 	var eo exchangeOptions
 	for _, opt := range opts {
 		opt(&eo)
@@ -217,11 +203,9 @@ func (n *Network) ExchangeContext(ctx context.Context, payload []byte, uplinkBit
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	fsp := n.tel.frameBuild.Span()
-	fspan := root.Child("frame.build", -1)
+	fs := n.tel.frameBuild.Begin(root, -1)
 	frame, err := n.BuildDownlinkFrame(payload, minChirps)
-	fspan.End()
-	fsp.End()
+	fs.End(err)
 	if err != nil {
 		return nil, err
 	}
@@ -231,26 +215,24 @@ func (n *Network) ExchangeContext(ctx context.Context, payload []byte, uplinkBit
 	// are independent (each tag owns its front-end noise source), so they
 	// fan out across the pool. The telemetry handles are atomic, so the
 	// counter totals are deterministic for any worker count.
-	dlStage := root.Child("downlink", -1)
-	if err := n.pool.ForContext(ctx, len(n.nodes), func(i int) error {
+	dl := n.tel.downlink.Begin(root, -1)
+	err = n.pool.ForContext(ctx, len(n.nodes), func(i int) error {
 		if !active[i] {
 			// A scheduled-out tag sleeps through the frame (the §4.1 power
-			// story): no decode, no telemetry, no events.
+			// story): no decode and no telemetry.
 			res.Nodes[i].DownlinkErr = ErrNodeInactive
 			return nil
 		}
 		node := n.nodes[i]
 		snr := n.link.DownlinkSNRdB(node.Range)
-		dlsp := n.tel.downlink.Span()
-		nspan := dlStage.Child("node.downlink", i)
+		ds := n.tel.decode.Begin(dl.Span(), i)
 		dctx := ctx
-		if nspan != nil {
-			dctx = telemetry.ContextWithSpan(ctx, nspan)
+		if sp := ds.Span(); sp != nil {
+			sp.SetAttr("snr_db", snr)
+			dctx = telemetry.ContextWithSpan(ctx, sp)
 		}
 		pl, diag, derr := node.Tag.ReceiveDownlinkContext(dctx, frame, snr, n.pkt)
-		nspan.Fail(derr)
-		nspan.End()
-		dlsp.End()
+		ds.End(derr)
 		res.Nodes[i].DownlinkPayload = pl
 		res.Nodes[i].DownlinkErr = derr
 		res.Nodes[i].DownlinkDiag = diag
@@ -262,20 +244,17 @@ func (n *Network) ExchangeContext(ctx context.Context, payload []byte, uplinkBit
 			n.tel.dlBitErrs.Add(int64(e))
 			n.tel.dlBits.Add(int64(t))
 		}
-		if n.rec != nil {
-			n.event("node.downlink", i, map[string]any{"ok": derr == nil, "snr_db": snr})
-		}
 		return nil
-	}); err != nil {
-		dlStage.End()
+	})
+	dl.End(err)
+	if err != nil {
 		return nil, err
 	}
-	dlStage.End()
 
 	// Uplink: build the radar scene with every node's switch states.
-	sspan := root.Child("scene.build", -1)
+	ss := n.tel.sceneBuild.Begin(root, -1)
 	scene, err := n.buildScene(frame, uplinkBits)
-	sspan.End()
+	ss.End(err)
 	if err != nil {
 		return nil, err
 	}
@@ -298,11 +277,9 @@ func (n *Network) ExchangeContext(ctx context.Context, payload []byte, uplinkBit
 		n.observeDoppler(cm)
 	}
 
-	dtsp := n.tel.detect.Span()
-	dspan := root.Child("detect", -1)
+	dts := n.tel.detect.Begin(root, -1)
 	dets, diags, derrs, err := n.detectNodes(ctx, matrix, grid)
-	dspan.End()
-	dtsp.End()
+	dts.End(err)
 	if err != nil {
 		return nil, err
 	}
@@ -319,9 +296,8 @@ func (n *Network) ExchangeContext(ctx context.Context, payload []byte, uplinkBit
 	}
 	// Demodulate every detected node's uplink; the matrix is read-only
 	// here and each node writes its own result slot.
-	upStage := root.Child("uplink", -1)
-	defer upStage.End()
-	if err := n.pool.ForContext(ctx, len(n.nodes), func(i int) error {
+	up := n.tel.uplink.Begin(root, -1)
+	err = n.pool.ForContext(ctx, len(n.nodes), func(i int) error {
 		node := n.nodes[i]
 		res.Nodes[i].Detection = dets[i]
 		res.Nodes[i].DetectionErr = derrs[i]
@@ -332,11 +308,6 @@ func (n *Network) ExchangeContext(ctx context.Context, payload []byte, uplinkBit
 		nt := n.tel.node(i)
 		outcome(derrs[i], n.tel.detOK, n.tel.detErr)
 		outcome(derrs[i], nt.detOK, nt.detErr)
-		if n.rec != nil {
-			n.event("node.detect", i, map[string]any{
-				"ok": derrs[i] == nil, "bin": diags[i].PeakBin, "psl_db": diags[i].PeakToSidelobeDB,
-			})
-		}
 		if derrs[i] != nil {
 			if bits, ok := uplinkBits[i]; ok && len(bits) > 0 && n.tel.enabled() {
 				// A missed detection loses the whole uplink message:
@@ -347,13 +318,10 @@ func (n *Network) ExchangeContext(ctx context.Context, payload []byte, uplinkBit
 			return nil
 		}
 		if bits, ok := uplinkBits[i]; ok && len(bits) > 0 {
-			usp := n.tel.demod.Span()
-			uspan := upStage.Child("node.uplink", i)
+			us := n.tel.demod.Begin(up.Span(), i)
+			us.Span().SetAttr("bits", len(bits))
 			got, uerr := n.radar.DecodeUplinkFSK(matrix, dets[i].Bin, node.Uplink)
-			uspan.Fail(uerr)
-			uspan.SetAttr("bits", len(bits))
-			uspan.End()
-			usp.End()
+			us.End(uerr)
 			if uerr == nil && len(got) > len(bits) {
 				got = got[:len(bits)]
 			}
@@ -365,12 +333,11 @@ func (n *Network) ExchangeContext(ctx context.Context, payload []byte, uplinkBit
 				n.tel.upBitErrs.Add(int64(countBitMismatches(bits, got)))
 				n.tel.upBits.Add(int64(len(bits)))
 			}
-			if n.rec != nil {
-				n.event("node.uplink", i, map[string]any{"ok": uerr == nil, "bits": len(bits)})
-			}
 		}
 		return nil
-	}); err != nil {
+	})
+	up.End(err)
+	if err != nil {
 		return nil, err
 	}
 	return res, nil

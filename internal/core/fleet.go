@@ -30,9 +30,6 @@ type FleetConfig struct {
 	// shared with every network the fleet builds, so per-stage pipeline
 	// metrics aggregate fleet-wide. Nil disables collection.
 	Metrics *telemetry.Metrics
-	// Recorder receives the structured pipeline events of every network
-	// the fleet builds; nil disables them.
-	Recorder telemetry.Recorder
 	// Tracer collects exchange span trees from every network the fleet
 	// builds (trace Network fields carry the fleet-assigned ids, so the
 	// shared stream stays attributable); nil disables tracing.
@@ -77,7 +74,7 @@ type engine struct {
 type fleetTel struct {
 	m         *telemetry.Metrics
 	queueWait *telemetry.Histogram // fleet.queue_wait.seconds: enqueue → claim
-	service   *telemetry.Histogram // fleet.service.seconds: time inside run
+	service   telemetry.Stage      // fleet.service: time inside run
 	latency   *telemetry.Histogram // fleet.latency.seconds: submit → done
 	busy      *telemetry.Gauge     // fleet.busy_engines
 	engines   *telemetry.Gauge     // fleet.engines (static width)
@@ -93,7 +90,7 @@ func newFleetTel(m *telemetry.Metrics) fleetTel {
 	return fleetTel{
 		m:         m,
 		queueWait: m.Histogram("fleet.queue_wait.seconds"),
-		service:   m.Histogram("fleet.service.seconds"),
+		service:   m.Stage(StageFleetService),
 		latency:   m.Histogram("fleet.latency.seconds"),
 		busy:      m.Gauge("fleet.busy_engines"),
 		engines:   m.Gauge("fleet.engines"),
@@ -175,9 +172,9 @@ func (f *Fleet) engineLoop(e *engine) {
 			f.tel.queueWait.Observe(time.Since(req.enq).Seconds())
 		}
 		f.tel.busy.Add(1)
-		sp := f.tel.service.Span()
+		st := f.tel.service.Begin(nil, -1)
 		req.run(req.ctx)
-		sp.End()
+		st.End(nil)
 		f.tel.busy.Add(-1)
 		close(req.done)
 	}
@@ -221,8 +218,8 @@ func (f *Fleet) do(ctx context.Context, e *engine, run func(ctx context.Context)
 // AddNetwork builds a network from the configuration, the fleet defaults
 // and the per-network options (fleet defaults run first, so per-network
 // options override them), and pins it to an engine round-robin. The fleet's
-// metrics registry and recorder are attached ahead of the option list, so
-// an explicit WithMetrics/WithTelemetry still wins.
+// metrics registry, tracer and flight recorder are attached ahead of the
+// option list, so an explicit WithMetrics still wins.
 func (f *Fleet) AddNetwork(cfg Config, opts ...Option) (*FleetNetwork, error) {
 	f.mu.Lock()
 	if f.closed {
@@ -233,12 +230,9 @@ func (f *Fleet) AddNetwork(cfg Config, opts ...Option) (*FleetNetwork, error) {
 	f.networks++
 	f.mu.Unlock()
 
-	all := make([]Option, 0, len(f.defaults)+len(opts)+5)
+	all := make([]Option, 0, len(f.defaults)+len(opts)+4)
 	if f.cfg.Metrics != nil {
 		all = append(all, WithMetrics(f.cfg.Metrics))
-	}
-	if f.cfg.Recorder != nil {
-		all = append(all, WithTelemetry(f.cfg.Recorder))
 	}
 	if f.cfg.Tracer != nil {
 		all = append(all, WithTracer(f.cfg.Tracer))
@@ -249,7 +243,7 @@ func (f *Fleet) AddNetwork(cfg Config, opts ...Option) (*FleetNetwork, error) {
 	all = append(all, f.defaults...)
 	all = append(all, opts...)
 	// The fleet-assigned dense id always wins: it is what keys the shared
-	// tracer's and recorder's streams.
+	// tracer's and flight recorder's streams.
 	all = append(all, WithNetworkID(id))
 	net, err := NewNetwork(cfg, all...)
 	if err != nil {

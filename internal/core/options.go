@@ -90,19 +90,6 @@ func WithMetrics(m *telemetry.Metrics) Option {
 	return func(c *Config) { c.Metrics = m }
 }
 
-// WithTelemetry attaches a structured event recorder (exchange begin/end,
-// per-node decode / detection / demod outcomes) and ensures a metrics
-// registry exists — the one-call way to turn the full observability surface
-// on. A nil recorder still enables metrics.
-func WithTelemetry(rec telemetry.Recorder) Option {
-	return func(c *Config) {
-		c.Recorder = rec
-		if c.Metrics == nil {
-			c.Metrics = telemetry.New()
-		}
-	}
-}
-
 // WithTracer attaches an exchange tracer: every Exchange round produces a
 // causal span tree (frame build, per-node downlink decodes, radar observe
 // and IF correction, detection, per-node uplink demods) under a
@@ -120,7 +107,7 @@ func WithFlightRecorder(f *telemetry.FlightRecorder) Option {
 }
 
 // WithNetworkID sets the network identity stamped into exchange IDs, traces
-// and events. The Fleet applies its dense id automatically.
+// and traces. The Fleet applies its dense id automatically.
 func WithNetworkID(id int) Option {
 	return func(c *Config) { c.NetworkID = id }
 }

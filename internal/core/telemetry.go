@@ -2,35 +2,38 @@ package core
 
 import (
 	"strconv"
-	"time"
 
 	"biscatter/internal/telemetry"
 )
 
-// Telemetry stage names for the exchange engine. Each stage records its
-// per-unit durations into the histogram "<stage>.seconds": per round for
-// exchange / frame build / the joint detect search, per node for downlink
-// decode and uplink demod. See DESIGN.md "Telemetry".
+// The exchange engine's pipeline stages (see telemetry.Stage): each times
+// into the histogram "<stage>.seconds" and opens the trace span <stage>.
+// Per round: the exchange (the trace root), frame build, the downlink and
+// uplink fan-outs, scene build and the joint detect search; per node: the
+// downlink decode and the uplink demod. The Fleet's service stage is one
+// engine request, timed outside any trace. See DESIGN.md "Telemetry".
 const (
 	StageExchange       = "core.exchange"
 	StageFrameBuild     = "core.frame_build"
+	StageDownlink       = "core.downlink"
 	StageDownlinkDecode = "core.downlink_decode"
+	StageSceneBuild     = "core.scene_build"
 	StageDetect         = "core.detect"
+	StageUplink         = "core.uplink"
 	StageUplinkDemod    = "core.uplink_demod"
+	StageFleetService   = "fleet.service"
 )
 
-// coreTel holds the network's pre-resolved telemetry handles. The zero
-// value (all nil) is the disabled state: every handle method is a nil-safe
-// no-op, so the exchange hot path carries no conditionals beyond the ones
-// guarding real extra work (BER tallies, the Doppler introspection pass).
+// coreTel holds the network's pre-resolved telemetry handles. Without a
+// registry the stages only open trace spans and every other handle is nil,
+// a nil-safe no-op, so the exchange hot path carries no conditionals beyond
+// the ones guarding real extra work (BER tallies, the Doppler introspection
+// pass).
 type coreTel struct {
 	m *telemetry.Metrics
 
-	exchange   *telemetry.Histogram
-	frameBuild *telemetry.Histogram
-	downlink   *telemetry.Histogram
-	detect     *telemetry.Histogram
-	demod      *telemetry.Histogram
+	exchange, frameBuild, downlink, decode telemetry.Stage
+	sceneBuild, detect, uplink, demod      telemetry.Stage
 
 	exchOK, exchErr *telemetry.Counter
 
@@ -69,19 +72,19 @@ func (t coreTel) node(i int) nodeTel {
 	return nodeTel{}
 }
 
-// newCoreTel resolves the exchange engine's metric handles for nNodes
-// nodes; a nil registry yields the inert zero value.
+// newCoreTel resolves the exchange engine's telemetry handles for nNodes
+// nodes; a nil registry yields span-only stages and nil metric handles.
 func newCoreTel(m *telemetry.Metrics, nNodes int) coreTel {
-	if m == nil {
-		return coreTel{}
-	}
 	t := coreTel{
 		m:          m,
-		exchange:   m.Histogram(StageExchange + ".seconds"),
-		frameBuild: m.Histogram(StageFrameBuild + ".seconds"),
-		downlink:   m.Histogram(StageDownlinkDecode + ".seconds"),
-		detect:     m.Histogram(StageDetect + ".seconds"),
-		demod:      m.Histogram(StageUplinkDemod + ".seconds"),
+		exchange:   m.Stage(StageExchange),
+		frameBuild: m.Stage(StageFrameBuild),
+		downlink:   m.Stage(StageDownlink),
+		decode:     m.Stage(StageDownlinkDecode),
+		sceneBuild: m.Stage(StageSceneBuild),
+		detect:     m.Stage(StageDetect),
+		uplink:     m.Stage(StageUplink),
+		demod:      m.Stage(StageUplinkDemod),
 		exchOK:     m.Counter("core.exchange.ok"),
 		exchErr:    m.Counter("core.exchange.err"),
 		dlOK:       m.Counter("core.downlink.ok"),
@@ -97,7 +100,7 @@ func newCoreTel(m *telemetry.Metrics, nNodes int) coreTel {
 		detSNR:     m.Gauge("radar.detection.snr_db"),
 		detPSL:     m.Gauge("radar.detection.psl_db"),
 	}
-	for i := 0; i < nNodes; i++ {
+	for i := 0; m != nil && i < nNodes; i++ {
 		p := "core.node." + strconv.Itoa(i)
 		t.nodes = append(t.nodes, nodeTel{
 			dlOK:   m.Counter(p + ".downlink.ok"),
@@ -118,25 +121,6 @@ func outcome(err error, ok, errC *telemetry.Counter) {
 		return
 	}
 	ok.Inc()
-}
-
-// event emits a structured event to the configured recorder; a nil recorder
-// drops it before any allocation at the call sites that guard on rec. Every
-// event carries the current round's deterministic ExchangeID and the
-// network identity, so events from concurrent Fleet networks stay
-// attributable after they interleave into one stream.
-func (n *Network) event(name string, node int, fields map[string]any) {
-	if n.rec == nil {
-		return
-	}
-	n.rec.Record(telemetry.Event{
-		Time:     time.Now(),
-		Name:     name,
-		Node:     node,
-		Exchange: n.exchID,
-		Network:  n.cfg.NetworkID,
-		Fields:   fields,
-	})
 }
 
 // Metrics returns a point-in-time snapshot of the network's telemetry

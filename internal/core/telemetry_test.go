@@ -2,10 +2,13 @@ package core
 
 import (
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
+	"biscatter/internal/parallel"
+	"biscatter/internal/radar"
 	"biscatter/internal/telemetry"
 )
 
@@ -39,14 +42,13 @@ func fourNodeUplink() map[int][]bool {
 
 // TestExchangeTelemetryStages is the acceptance check of the telemetry
 // subsystem: one full exchange with telemetry attached must light up every
-// pipeline stage span and every per-node outcome counter. When
+// pipeline stage histogram and every per-node outcome counter. When
 // BISCATTER_METRICS_OUT is set the final snapshot is written there —
 // scripts/bench_exchange.sh uses that to embed a per-stage breakdown in its
 // report.
 func TestExchangeTelemetryStages(t *testing.T) {
-	rec := &telemetry.SliceRecorder{}
 	m := telemetry.New()
-	n, err := NewNetwork(fourNodeConfig(0), WithMetrics(m), WithTelemetry(rec))
+	n, err := NewNetwork(fourNodeConfig(0), WithMetrics(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,9 +68,11 @@ func TestExchangeTelemetryStages(t *testing.T) {
 	snap := n.Metrics()
 
 	stages := []string{
-		StageExchange, StageFrameBuild, StageDownlinkDecode, StageDetect, StageUplinkDemod,
-		"radar.synthesis", "radar.range_fft", "radar.if_correction",
-		"radar.doppler_fft", "radar.matched_filter",
+		StageExchange, StageFrameBuild, StageDownlink, StageDownlinkDecode,
+		StageSceneBuild, StageDetect, StageUplink, StageUplinkDemod,
+		radar.StageObserve, radar.StageCorrect, radar.StageSynthesis,
+		radar.StageRangeFFT, radar.StageIFCorrection, radar.StageDopplerFFT,
+		radar.StageMatchedFilter, parallel.StageFor,
 	}
 	for _, st := range stages {
 		h, ok := snap.Histograms[st+".seconds"]
@@ -108,16 +112,6 @@ func TestExchangeTelemetryStages(t *testing.T) {
 		t.Errorf("uplink bit errors on a clean exchange: %d", snap.Counters["core.uplink.bit_errors"])
 	}
 
-	byName := rec.CountByName()
-	for _, e := range []string{"exchange.begin", "exchange.end", "node.downlink", "node.detect", "node.uplink"} {
-		if byName[e] == 0 {
-			t.Errorf("event %s: none recorded", e)
-		}
-	}
-	if byName["node.downlink"] != len(res.Nodes) {
-		t.Errorf("node.downlink events = %d, want %d", byName["node.downlink"], len(res.Nodes))
-	}
-
 	if path := os.Getenv("BISCATTER_METRICS_OUT"); path != "" {
 		if err := telemetry.WriteSnapshotFile(path, snap); err != nil {
 			t.Fatalf("BISCATTER_METRICS_OUT: %v", err)
@@ -127,14 +121,14 @@ func TestExchangeTelemetryStages(t *testing.T) {
 
 // TestExchangeTelemetryDeterminism extends the worker-count invariance
 // contract to telemetry: counter values, histogram sample counts, gauges
-// outside the live "parallel." pool group, and the event multiset must all
-// depend only on the work done, never on how many workers did it. Timings
-// (histogram sums and quantiles) are exempt.
+// outside the live "parallel." pool group, and the multiset of trace span
+// names must all depend only on the work done, never on how many workers
+// did it. Timings (histogram sums and quantiles, span offsets) are exempt.
 func TestExchangeTelemetryDeterminism(t *testing.T) {
 	payload := RandomPayload(5, 8)
 	run := func(workers int) (telemetry.Snapshot, map[string]int) {
-		rec := &telemetry.SliceRecorder{}
-		n, err := NewNetwork(fourNodeConfig(workers), WithTelemetry(rec))
+		tracer := telemetry.NewTracer()
+		n, err := NewNetwork(fourNodeConfig(workers), WithMetrics(telemetry.New()), WithTracer(tracer))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -143,10 +137,14 @@ func TestExchangeTelemetryDeterminism(t *testing.T) {
 				t.Fatalf("workers=%d round=%d: %v", workers, round, err)
 			}
 		}
-		return n.Metrics(), rec.CountByName()
+		spans := map[string]int{}
+		for _, tr := range tracer.Traces() {
+			tr.Root.Walk(func(s *telemetry.SpanNode) { spans[s.Name]++ })
+		}
+		return n.Metrics(), spans
 	}
-	serialSnap, serialEvents := run(1)
-	wideSnap, wideEvents := run(8)
+	serialSnap, serialSpans := run(1)
+	wideSnap, wideSpans := run(8)
 
 	for name, v := range serialSnap.Counters {
 		if w := wideSnap.Counters[name]; w != v {
@@ -169,13 +167,8 @@ func TestExchangeTelemetryDeterminism(t *testing.T) {
 			t.Errorf("gauge %s: serial=%v wide=%v", name, v, w)
 		}
 	}
-	for name, c := range serialEvents {
-		if w := wideEvents[name]; w != c {
-			t.Errorf("event %s: serial=%d wide=%d", name, c, w)
-		}
-	}
-	if len(serialEvents) != len(wideEvents) {
-		t.Errorf("event name sets differ: %v vs %v", serialEvents, wideEvents)
+	if !reflect.DeepEqual(serialSpans, wideSpans) {
+		t.Errorf("span name multisets differ:\nserial %v\nwide   %v", serialSpans, wideSpans)
 	}
 }
 

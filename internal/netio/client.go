@@ -15,8 +15,14 @@ const (
 	DefaultDialAttempts   = 10
 	DefaultAttemptTimeout = 250 * time.Millisecond
 	DefaultMaxAttempts    = 10
-	DefaultBackoffFactor  = 1.5
-	DefaultJitterFraction = 0.25
+)
+
+// The retry backoff grows geometrically by backoffFactor per attempt, and
+// each delay is spread over [1-jitterFraction, 1+jitterFraction) of its
+// nominal value by splitmix64 over (seed, tag, attempt).
+const (
+	backoffFactor  = 1.5
+	jitterFraction = 0.25
 )
 
 // ClientConfig parameterizes a tag-side session client.
@@ -36,10 +42,6 @@ type ClientConfig struct {
 	AttemptTimeout time.Duration
 	// MaxAttempts bounds retransmissions per submitted round.
 	MaxAttempts int
-	// BackoffFactor grows the inter-attempt backoff geometrically.
-	BackoffFactor float64
-	// JitterFraction spreads each backoff over [1-j, 1+j) deterministically.
-	JitterFraction float64
 	// HeartbeatInterval overrides the gateway-advertised interval when > 0.
 	HeartbeatInterval time.Duration
 	// Metrics receives netio.client.* counters (nil = disabled).
@@ -60,12 +62,6 @@ func (c *ClientConfig) applyDefaults() {
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = DefaultMaxAttempts
-	}
-	if c.BackoffFactor <= 1 {
-		c.BackoffFactor = DefaultBackoffFactor
-	}
-	if c.JitterFraction < 0 {
-		c.JitterFraction = DefaultJitterFraction
 	}
 }
 
@@ -193,28 +189,25 @@ func (c *Client) handshake(ctx context.Context) error {
 	return fmt.Errorf("netio: gateway %v unreachable after %d attempts", c.gw, c.cfg.DialAttempts)
 }
 
-// backoff computes the ARQ-style jittered geometric backoff for attempt,
-// capped at 4× the attempt timeout. The cap is what keeps a large fleet
-// stable: uncapped geometric growth puts a tag to sleep for minutes after a
-// dozen lossy attempts — long past the gateway's liveness deadline (no
-// heartbeats are sent mid-backoff), so the session gets evicted and the
-// whole round barrier stalls behind the re-handshake.
+// backoff computes the ARQ-style jittered geometric backoff for attempt:
+// the nominal delay is capped at 4× the attempt timeout, so no delay
+// exceeds (1+jitterFraction)·4× the attempt timeout. The cap is what keeps
+// a large fleet stable: uncapped geometric growth puts a tag to sleep for
+// minutes after a dozen lossy attempts — long past the gateway's liveness
+// deadline (no heartbeats are sent mid-backoff), so the session gets
+// evicted and the whole round barrier stalls behind the re-handshake.
 func (c *Client) backoff(attempt int) time.Duration {
 	nominal := float64(c.cfg.AttemptTimeout) / 4
 	cap := float64(c.cfg.AttemptTimeout) * 4
 	for i := 0; i < attempt && nominal < cap; i++ {
-		nominal *= c.cfg.BackoffFactor
+		nominal *= backoffFactor
 	}
 	if nominal > cap {
 		nominal = cap
 	}
-	j := c.cfg.JitterFraction
-	if j == 0 {
-		return time.Duration(nominal)
-	}
 	h := netHashBits(c.cfg.Seed, uint64(c.cfg.TagID)<<10, uint64(attempt))
 	frac := float64(h>>11) / (1 << 53)
-	return time.Duration(nominal * (1 - j + 2*j*frac))
+	return time.Duration(nominal * (1 - jitterFraction + 2*jitterFraction*frac))
 }
 
 func (c *Client) sleep(ctx context.Context, d time.Duration) {

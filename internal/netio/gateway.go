@@ -29,9 +29,12 @@ const (
 	DefaultRoundTimeout      = time.Second
 	DefaultQueueDepth        = 16
 	DefaultBreakerThreshold  = 2
-	DefaultResultCache       = 8
 	DefaultPoll              = 20 * time.Millisecond
 )
+
+// resultCache bounds the per-session cache of recent round results used to
+// answer retransmitted submissions idempotently.
+const resultCache = 8
 
 // AdmissionPolicy decides what happens to a new tag's Hello when the
 // gateway is at session capacity.
@@ -125,20 +128,14 @@ type GatewayConfig struct {
 	// though RoundTimeout has not passed globally (default RoundTimeout,
 	// which degenerates to the unscheduled all-active barrier).
 	FrameTimeout time.Duration
-	// QueueDepth bounds each session's send queue.
+	// QueueDepth bounds each session's send queue; a message for a full
+	// queue is rejected, never waited on.
 	QueueDepth int
-	// SendTimeout is the reject-or-wait backpressure knob (mirroring
-	// core.Fleet): 0 rejects immediately when a session's queue is full;
-	// > 0 waits up to the timeout before rejecting.
-	SendTimeout time.Duration
 	// BreakerThreshold opens a session's circuit breaker after this many
 	// consecutive missed rounds (default 2). An open session is quarantined:
 	// the round barrier stops waiting for it, and its next submission is the
 	// half-open probe that closes the breaker again.
 	BreakerThreshold int
-	// ResultCache bounds the per-session cache of recent round results used
-	// to answer retransmitted submissions idempotently.
-	ResultCache int
 	// Poll is the receive-poll granularity of the supervision loop.
 	Poll time.Duration
 	// Linger bounds the post-Rounds wait for Goodbyes (default
@@ -177,9 +174,6 @@ func (c *GatewayConfig) applyDefaults() {
 	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = DefaultBreakerThreshold
-	}
-	if c.ResultCache <= 0 {
-		c.ResultCache = DefaultResultCache
 	}
 	if c.Poll <= 0 {
 		c.Poll = DefaultPoll
@@ -607,28 +601,15 @@ func (g *Gateway) sender(s *session) {
 	}
 }
 
-// enqueue applies the Fleet-style reject-or-wait backpressure to a
-// session's bounded send queue.
+// enqueue offers m to a session's bounded send queue, rejecting it when the
+// queue is full: the supervision loop never blocks on one slow tag.
 func (g *Gateway) enqueue(s *session, m Message) bool {
-	if g.cfg.SendTimeout <= 0 {
-		select {
-		case s.out <- m:
-			return true
-		default:
-			g.cSendRejected.Inc()
-			g.logf("gateway: send queue full, rejecting %v for tag %d", m.Type(), s.tagID)
-			return false
-		}
-	}
-	t := time.NewTimer(g.cfg.SendTimeout)
-	defer t.Stop()
 	select {
 	case s.out <- m:
 		return true
-	case <-t.C:
+	default:
 		g.cSendRejected.Inc()
-		g.logf("gateway: send queue full after %v, rejecting %v for tag %d",
-			g.cfg.SendTimeout, m.Type(), s.tagID)
+		g.logf("gateway: send queue full, rejecting %v for tag %d", m.Type(), s.tagID)
 		return false
 	}
 }
@@ -862,7 +843,7 @@ func (g *Gateway) strike(s *session) {
 func (g *Gateway) cacheResult(s *session, rr *RoundResult) {
 	if _, ok := s.results[rr.Round]; !ok {
 		s.order = append(s.order, rr.Round)
-		for len(s.order) > g.cfg.ResultCache {
+		for len(s.order) > resultCache {
 			delete(s.results, s.order[0])
 			s.order = s.order[1:]
 		}

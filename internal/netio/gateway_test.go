@@ -376,7 +376,7 @@ func TestGatewaySessionResume(t *testing.T) {
 	}
 }
 
-// TestGatewayBackpressure pins the reject-or-wait send queue discipline
+// TestGatewayBackpressure pins the reject-when-full send queue discipline
 // without a network: a blocked sender fills the bounded queue and further
 // enqueues reject (and count).
 func TestGatewayBackpressure(t *testing.T) {
@@ -405,6 +405,35 @@ func TestGatewayBackpressure(t *testing.T) {
 	}
 	close(block)
 	g.dropSession(s)
+}
+
+// TestClientBackoff pins the client's retry schedule: the jittered delay is
+// a pure function of (seed, tag, attempt), distinct tags spread apart, and
+// no delay exceeds the jitter-widened cap of 4× the attempt timeout.
+func TestClientBackoff(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	backoff := func(seed int64, tagID uint8, attempt int) time.Duration {
+		c := &Client{cfg: ClientConfig{TagID: tagID, Seed: seed, AttemptTimeout: timeout}}
+		c.cfg.applyDefaults()
+		return c.backoff(attempt)
+	}
+	limit := time.Duration((1 + jitterFraction) * 4 * float64(timeout))
+	for _, tc := range []struct {
+		seed    int64
+		a, b    uint8
+		attempt int
+	}{{1, 1, 2, 0}, {1, 1, 2, 3}, {7, 3, 200, 1}, {7, 3, 4, 9}, {-5, 0, 255, 20}} {
+		da, db := backoff(tc.seed, tc.a, tc.attempt), backoff(tc.seed, tc.b, tc.attempt)
+		if again := backoff(tc.seed, tc.a, tc.attempt); again != da {
+			t.Errorf("%+v: tag %d delay %v then %v", tc, tc.a, da, again)
+		}
+		if da == db {
+			t.Errorf("%+v: both tags wait %v", tc, da)
+		}
+		if min(da, db) <= 0 || max(da, db) > limit {
+			t.Errorf("%+v: delays %v, %v outside (0, %v]", tc, da, db, limit)
+		}
+	}
 }
 
 // blockingConn stalls every Send until its gate opens.

@@ -31,11 +31,17 @@ import (
 	"biscatter/internal/telemetry"
 )
 
+// StageFor is the pool's pipeline stage (see telemetry.Stage): one
+// ForContext loop, traced under the context's span. An instrumented pool
+// also times it into "parallel.for.seconds".
+const StageFor = "parallel.for"
+
 // Pool schedules index-parallel loops over a fixed number of workers.
 // The zero value is not ready; use New.
 type Pool struct {
 	workers int
 	stats   *poolStats
+	loop    telemetry.Stage
 
 	// arenas are the pool-owned worker-local scratch arenas handed out by
 	// ForArena/ForContextArena; arenas[g] belongs to worker g for the
@@ -66,7 +72,7 @@ type poolStats struct {
 // New returns a pool of the given width. Non-positive widths select
 // GOMAXPROCS at call time, so a default pool tracks the machine.
 func New(workers int) *Pool {
-	return &Pool{workers: workers}
+	return &Pool{workers: workers, loop: (*telemetry.Metrics)(nil).Stage(StageFor)}
 }
 
 // Instrument attaches pool telemetry to the registry under the "parallel."
@@ -84,6 +90,7 @@ func (p *Pool) Instrument(m *telemetry.Metrics) *Pool {
 	if m == nil {
 		return p
 	}
+	p.loop = m.Stage(StageFor)
 	p.stats = &poolStats{
 		queued:    m.Counter("parallel.tasks_queued"),
 		completed: m.Counter("parallel.tasks_completed"),
@@ -313,14 +320,15 @@ func (p *Pool) ForContext(ctx context.Context, n int, fn func(i int) error) erro
 		return err
 	}
 	w := p.width(n)
-	sp := telemetry.SpanFromContext(ctx).Child("parallel.for", -1)
-	if sp != nil {
+	st := p.loop.Begin(telemetry.SpanFromContext(ctx), -1)
+	if sp := st.Span(); sp != nil {
 		sp.SetAttr("tasks", n)
 		sp.SetAttr("width", w)
-		defer sp.End()
 	}
 	body := p.instrumentErr(n, w, func(_, i int) error { return fn(i) })
-	return p.runContext(ctx, n, w, body)
+	err := p.runContext(ctx, n, w, body)
+	st.End(err)
+	return err
 }
 
 // ForContextArena is ForContext with the worker-local scratch arenas of

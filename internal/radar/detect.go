@@ -163,8 +163,8 @@ func (r *Radar) SignatureProfile(matrix [][]float64, fMod, period float64) []flo
 // needed; pass the returned profile back in to reuse it). Per-bin slow-time
 // columns come from the claiming worker's arena.
 func (r *Radar) SignatureProfileInto(dst []float64, matrix [][]float64, fMod, period float64) []float64 {
-	sp := r.tel.matched.Span()
-	defer sp.End()
+	st := r.tel.matched.Begin(nil, -1)
+	defer st.End(nil)
 	if len(matrix) == 0 {
 		return nil
 	}
@@ -191,8 +191,8 @@ func (r *Radar) SignatureProfileInto(dst []float64, matrix [][]float64, fMod, pe
 // dst is grown to one row per frequency (rows reused across calls) and
 // returned; rows follow the usual radar-owned-scratch ownership rules.
 func (r *Radar) SignatureProfilesInto(dst [][]float64, matrix [][]float64, freqs []float64, period float64) [][]float64 {
-	sp := r.tel.matched.Span()
-	defer sp.End()
+	st := r.tel.matched.Begin(nil, -1)
+	defer st.End(nil)
 	dst = ensureRows(dst, len(freqs))
 	if len(matrix) == 0 || len(freqs) == 0 {
 		return dst

@@ -19,11 +19,16 @@ import (
 	"biscatter/internal/telemetry"
 )
 
-// Telemetry stage names for the radar pipeline. Each stage records its
-// per-unit durations into the histogram named "<stage>.seconds" (per chirp
-// for synthesis / range FFT / IF correction, per call for the Doppler FFT
-// and the per-tone matched-filter scan). See DESIGN.md "Telemetry".
+// The radar pipeline's stages (see telemetry.Stage): each times into the
+// histogram "<stage>.seconds" and opens the trace span <stage>. Per call:
+// observe (the whole IF synthesis), correct (the whole range FFT and
+// resampling pass), the Doppler FFT and the matched-filter scan. Per chirp:
+// synthesis, range FFT and IF correction, which run inside the worker loop
+// with no parent span and so only feed their histograms. See DESIGN.md
+// "Telemetry".
 const (
+	StageObserve       = "radar.observe"
+	StageCorrect       = "radar.correct"
 	StageSynthesis     = "radar.synthesis"
 	StageRangeFFT      = "radar.range_fft"
 	StageIFCorrection  = "radar.if_correction"
@@ -177,31 +182,25 @@ func ensureRows[T any](rows [][]T, n int) [][]T {
 }
 
 // radarTel holds the radar's pre-resolved telemetry handles so the hot
-// per-chirp loops skip registry lookups. The zero value (all nil) is the
-// disabled state: nil histograms hand out inert spans that take no clock
-// readings.
+// per-chirp loops skip registry lookups. Without a registry the stages
+// only open trace spans (and the per-chirp ones read no clock) and the
+// gauges are nil no-ops.
 type radarTel struct {
-	synthesis *telemetry.Histogram
-	rangeFFT  *telemetry.Histogram
-	ifCorr    *telemetry.Histogram
-	doppler   *telemetry.Histogram
-	matched   *telemetry.Histogram
-	detSNR    *telemetry.Gauge
-	detPSL    *telemetry.Gauge
+	observe, correct, synthesis, rangeFFT telemetry.Stage
+	ifCorr, doppler, matched              telemetry.Stage
+	detSNR, detPSL                        *telemetry.Gauge
 }
 
-// newRadarTel resolves the radar's metric handles; a nil registry yields
-// the inert zero value.
+// newRadarTel resolves the radar's telemetry handles against m (nil allowed).
 func newRadarTel(m *telemetry.Metrics) radarTel {
-	if m == nil {
-		return radarTel{}
-	}
 	return radarTel{
-		synthesis: m.Histogram(StageSynthesis + ".seconds"),
-		rangeFFT:  m.Histogram(StageRangeFFT + ".seconds"),
-		ifCorr:    m.Histogram(StageIFCorrection + ".seconds"),
-		doppler:   m.Histogram(StageDopplerFFT + ".seconds"),
-		matched:   m.Histogram(StageMatchedFilter + ".seconds"),
+		observe:   m.Stage(StageObserve),
+		correct:   m.Stage(StageCorrect),
+		synthesis: m.Stage(StageSynthesis),
+		rangeFFT:  m.Stage(StageRangeFFT),
+		ifCorr:    m.Stage(StageIFCorrection),
+		doppler:   m.Stage(StageDopplerFFT),
+		matched:   m.Stage(StageMatchedFilter),
 		detSNR:    m.Gauge(GaugeDetectionSNR),
 		detPSL:    m.Gauge(GaugeDetectionPSL),
 	}
@@ -319,9 +318,10 @@ func (r *Radar) Observe(frame *fmcw.Frame, scene Scene) *Capture {
 // next Observe/ObserveContext call on the same Radar. Callers that keep a
 // capture across frames must copy the rows.
 func (r *Radar) ObserveContext(ctx context.Context, frame *fmcw.Frame, scene Scene) (*Capture, error) {
-	osp := telemetry.SpanFromContext(ctx).Child("radar.observe", -1)
-	osp.SetAttr("chirps", len(frame.Chirps))
-	defer osp.End()
+	obs := r.tel.observe.Begin(telemetry.SpanFromContext(ctx), -1)
+	if sp := obs.Span(); sp != nil {
+		sp.SetAttr("chirps", len(frame.Chirps))
+	}
 	nChirps := len(frame.Chirps)
 	r.scr.ifRows = ensureRows(r.scr.ifRows, nChirps)
 	cap := &Capture{Frame: frame, IF: r.scr.ifRows[:nChirps]}
@@ -366,8 +366,8 @@ func (r *Radar) ObserveContext(ctx context.Context, frame *fmcw.Frame, scene Sce
 	residual := math.Pow(10, AbsorptiveResidualDB/20)
 	fs := r.cfg.Chirp.SampleRate
 	err := r.pool.ForContext(ctx, nChirps, func(i int) error {
-		sp := r.tel.synthesis.Span()
-		defer sp.End()
+		st := r.tel.synthesis.Begin(nil, -1)
+		defer st.End(nil)
 		c := frame.Chirps[i]
 		n := c.Params.SamplesPerChirp()
 		buf := dsp.Resize(cap.IF[i], n)
@@ -405,6 +405,7 @@ func (r *Radar) ObserveContext(ctx context.Context, frame *fmcw.Frame, scene Sce
 		scene.Faults.Jam(buf, i)
 		return nil
 	})
+	obs.End(err)
 	if err != nil {
 		return nil, err
 	}
@@ -502,8 +503,7 @@ func (r *Radar) CorrectedMatrix(cap *Capture) ([][]complex128, []float64) {
 // CorrectedMatrix/CorrectedMatrixContext call on the same Radar; callers
 // that keep a matrix across frames must copy it.
 func (r *Radar) CorrectedMatrixContext(ctx context.Context, cap *Capture) ([][]complex128, []float64, error) {
-	csp := telemetry.SpanFromContext(ctx).Child("radar.if_correction", -1)
-	defer csp.End()
+	cs := r.tel.correct.Begin(telemetry.SpanFromContext(ctx), -1)
 	grid := r.RangeGrid(cap.Frame)
 	// Pre-warm the window cache serially for every duration in the frame:
 	// the workers below may then look windows up concurrently without any
@@ -519,11 +519,11 @@ func (r *Radar) CorrectedMatrixContext(ctx context.Context, cap *Capture) ([][]c
 	out := r.scr.cmRows[:len(cap.IF)]
 	err := r.pool.ForContextArena(ctx, len(cap.IF), func(i int, a *dsp.Arena) error {
 		c := cap.Frame.Chirps[i]
-		sp := r.tel.rangeFFT.Span()
+		st := r.tel.rangeFFT.Begin(nil, -1)
 		spec := r.rangeSpectrumInto(a.Complex(r.cfg.NFFT), cap.IF[i], c.Params.Duration)
-		sp.End()
-		sp = r.tel.ifCorr.Span()
-		defer sp.End()
+		st.End(nil)
+		st = r.tel.ifCorr.Begin(nil, -1)
+		defer st.End(nil)
 		full := r.cfg.NFFT
 		re := a.Float(full)
 		im := a.Float(full)
@@ -542,6 +542,7 @@ func (r *Radar) CorrectedMatrixContext(ctx context.Context, cap *Capture) ([][]c
 		out[i] = row
 		return nil
 	})
+	cs.End(err)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -578,8 +579,8 @@ func SubtractBackground(matrix [][]complex128) [][]complex128 {
 // RangeDoppler computes the slow-time FFT across chirps for every range bin
 // of a corrected matrix, returning magnitudes indexed [doppler][range].
 func (r *Radar) RangeDoppler(matrix [][]complex128) [][]float64 {
-	sp := r.tel.doppler.Span()
-	defer sp.End()
+	st := r.tel.doppler.Begin(nil, -1)
+	defer st.End(nil)
 	nChirps := len(matrix)
 	if nChirps == 0 {
 		return nil

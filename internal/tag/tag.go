@@ -11,6 +11,19 @@ import (
 	"biscatter/internal/telemetry"
 )
 
+// The tag's pipeline stages (see telemetry.Stage): the analog capture of a
+// downlink frame and the digital packet decode. A tag carries no metrics
+// registry, so its stages only open trace spans.
+const (
+	StageCapture = "tag.capture"
+	StageDecode  = "tag.decode"
+)
+
+var (
+	captureStage = (*telemetry.Metrics)(nil).Stage(StageCapture)
+	decodeStage  = (*telemetry.Metrics)(nil).Stage(StageDecode)
+)
+
 // Tag assembles the full BiScatter node of Fig. 2: the delay-line decoder
 // front-end and decoding algorithm for downlink, the Van Atta RF-switch
 // modulator for uplink, and the power model.
@@ -90,13 +103,12 @@ func (t *Tag) ReceiveDownlink(frame *fmcw.Frame, snrDB float64, pktCfg packet.Co
 // span lookups are allocation-free no-ops.
 func (t *Tag) ReceiveDownlinkContext(ctx context.Context, frame *fmcw.Frame, snrDB float64, pktCfg packet.Config) ([]byte, Diagnostics, error) {
 	parent := telemetry.SpanFromContext(ctx)
-	csp := parent.Child("tag.capture", -1)
+	cs := captureStage.Begin(parent, -1)
 	x := t.FrontEnd.CaptureFrame(frame, snrDB)
-	csp.End()
-	dsp := parent.Child("tag.decode", -1)
+	cs.End(nil)
+	ds := decodeStage.Begin(parent, -1)
 	pl, diag, err := t.Decoder.DecodePacket(x, pktCfg)
-	dsp.Fail(err)
-	dsp.End()
+	ds.End(err)
 	return pl, diag, err
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -179,26 +178,6 @@ func TestSanitizeMetricName(t *testing.T) {
 		if got := sanitizeMetricName(in); got != want {
 			t.Fatalf("sanitizeMetricName(%q) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-func TestJSONLRecorderDropCounting(t *testing.T) {
-	m := New()
-	var buf bytes.Buffer
-	r := NewJSONLRecorder(&buf).Instrument(m)
-	r.Record(Event{Name: "ok", Node: -1})
-	// NaN is not encodable as JSON — the event must drop, audibly.
-	r.Record(Event{Name: "bad", Node: -1, Fields: map[string]any{"v": math.NaN()}})
-	r.Record(Event{Name: "ok2", Node: -1})
-	if r.Dropped() != 1 {
-		t.Fatalf("Dropped = %d, want 1", r.Dropped())
-	}
-	if got := m.Snapshot().Counters["telemetry.recorder.dropped"]; got != 1 {
-		t.Fatalf("drop counter = %d, want 1", got)
-	}
-	lines := strings.Count(buf.String(), "\n")
-	if lines != 2 {
-		t.Fatalf("wrote %d lines, want 2 (dropped event must not emit)", lines)
 	}
 }
 

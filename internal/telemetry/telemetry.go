@@ -1,8 +1,8 @@
 // Package telemetry is the observability core of the simulator: lock-cheap
 // metric primitives (atomic counters, float gauges, ring-buffer histograms
-// with windowed quantiles), a per-stage timer API (Span/End), a pluggable
-// structured event sink (Recorder), and snapshot/export plumbing (expvar,
-// JSON, a debug HTTP server).
+// with windowed quantiles), the pipeline Stage instrument that times a stage
+// into its histogram and its trace span at once, causal exchange traces, and
+// snapshot/export plumbing (expvar, JSON, OpenMetrics, a debug HTTP server).
 //
 // Everything is nil-tolerant by design: a nil *Metrics hands out nil
 // primitives, and every method on a nil primitive is a no-op. Pipeline code
@@ -11,7 +11,7 @@
 // no time.Now calls are made.
 //
 // Determinism contract: metric *counts* (Counter values, Histogram.Count,
-// event counts) depend only on the work performed, never on worker-pool
+// span-name multisets) depend only on the work performed, never on worker-pool
 // width or scheduling; timing values (histogram quantiles, span durations)
 // and live pool gauges are exempt. Tests pin the counts across worker
 // counts.
@@ -121,15 +121,6 @@ func (h *Histogram) Count() int64 {
 	return h.count.Load()
 }
 
-// Span returns a running timer that records its duration into h at End.
-// On a nil receiver the span is inert and takes no clock reading.
-func (h *Histogram) Span() Span {
-	if h == nil {
-		return Span{}
-	}
-	return Span{h: h, start: time.Now()}
-}
-
 // HistogramStats is a point-in-time summary of a Histogram. Count and Sum
 // span the histogram's lifetime; Min/Max and the quantiles describe the
 // ring-buffer window (the most recent observations).
@@ -189,20 +180,57 @@ func Quantile(sorted []float64, q float64) float64 {
 	return sorted[i]
 }
 
-// Span times one stage execution; obtain it from Metrics.Span or
-// Histogram.Span and call End exactly once. The zero Span is inert.
-type Span struct {
-	h     *Histogram
-	start time.Time
+// Stage is one named pipeline stage and the only instrument that times
+// one: each execution records its seconds into the histogram
+// "<name>.seconds" and, when traced, a span named <name>, so a stage's
+// metric and its span can never drift apart. Declare the name once as a
+// constant in the stage's layer and resolve the Stage once per registry
+// with Metrics.Stage. The zero Stage is not ready.
+type Stage struct {
+	name string
+	h    *Histogram
 }
 
-// End records the elapsed seconds into the span's histogram. No-op on an
-// inert span.
-func (s Span) End() {
-	if s.h == nil {
-		return
+// Begin starts one execution of the stage: a child span of parent
+// concerning node (a network node index, or -1), and a histogram timer.
+// With no histogram and no parent span it reads no clock and allocates
+// nothing, so per-unit hot loops may open a stage unconditionally.
+func (s Stage) Begin(parent *SpanNode, node int) StageRun {
+	r := StageRun{h: s.h, span: parent.Child(s.name, node)}
+	if s.h != nil {
+		r.start = time.Now()
 	}
-	s.h.Observe(time.Since(s.start).Seconds())
+	return r
+}
+
+// BeginTrace starts one execution of the stage as the root span of a new
+// trace with the given identity.
+func (s Stage) BeginTrace(id ExchangeID, network int, seq uint64) (StageRun, *Trace) {
+	tr := BeginTrace(id, network, seq, s.name)
+	r := s.Begin(nil, -1)
+	r.span = tr.Root
+	return r, tr
+}
+
+// StageRun is one running execution of a Stage; call End exactly once.
+type StageRun struct {
+	h     *Histogram
+	start time.Time
+	span  *SpanNode
+}
+
+// Span returns the execution's trace span, or nil when untraced: the place
+// for attributes and the parent of the stage's sub-stages.
+func (r StageRun) Span() *SpanNode { return r.span }
+
+// End records the elapsed seconds into the stage's histogram, then fails
+// the span with err (when non-nil) and ends it.
+func (r StageRun) End(err error) {
+	if r.h != nil {
+		r.h.Observe(time.Since(r.start).Seconds())
+	}
+	r.span.Fail(err)
+	r.span.End()
 }
 
 // Metrics is a named registry of counters, gauges and histograms. The nil
@@ -287,13 +315,14 @@ func (m *Metrics) Histogram(name string) *Histogram {
 	return h
 }
 
-// Span starts a timer recording into the histogram "<stage>.seconds". On a
-// nil registry the span is inert and no clock is read.
-func (m *Metrics) Span(stage string) Span {
+// Stage resolves the pipeline stage named name against the registry: its
+// histogram is "<name>.seconds". On a nil registry the stage has no
+// histogram and only opens trace spans.
+func (m *Metrics) Stage(name string) Stage {
 	if m == nil {
-		return Span{}
+		return Stage{name: name}
 	}
-	return m.Histogram(stage + ".seconds").Span()
+	return Stage{name: name, h: m.Histogram(name + ".seconds")}
 }
 
 // Snapshot is a point-in-time copy of a registry, safe to marshal, diff and

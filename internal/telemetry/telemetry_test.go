@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -99,9 +100,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 	m.Gauge("x").Set(1)
 	m.Gauge("x").Add(1)
 	m.Histogram("x").Observe(1)
-	sp := m.Span("x")
-	sp.End()
-	m.Histogram("x").Span().End()
+	m.Stage("x").Begin(nil, -1).End(nil)
 	if v := m.Counter("x").Value(); v != 0 {
 		t.Fatalf("nil counter value = %d", v)
 	}
@@ -112,37 +111,85 @@ func TestNilRegistryIsInert(t *testing.T) {
 }
 
 // TestDisabledSpanIsAllocationFree pins the disabled-telemetry fast path:
-// the per-chirp hot loops open a span per unit of work, so with telemetry
-// off (nil registry → nil histogram) a Span/End pair must not touch the
-// heap — Span is returned by value and End takes no clock reading.
+// the per-chirp hot loops open a stage per unit of work, so with telemetry
+// off (nil registry → no histogram) and no parent span a Begin/End pair
+// must not touch the heap — the run is returned by value and End takes no
+// clock reading.
 func TestDisabledSpanIsAllocationFree(t *testing.T) {
 	var m *Metrics
-	h := m.Histogram("x")
+	fail := errors.New("stage failed")
 	if allocs := testing.AllocsPerRun(100, func() {
-		sp := h.Span()
-		sp.End()
+		st := m.Stage("stage")
+		st.Begin(nil, -1).End(nil)
+		st.Begin(nil, 3).End(fail)
 	}); allocs != 0 {
-		t.Fatalf("disabled histogram Span/End allocated %v times per op", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		sp := m.Span("stage")
-		sp.End()
-	}); allocs != 0 {
-		t.Fatalf("disabled metrics Span/End allocated %v times per op", allocs)
+		t.Fatalf("disabled Stage Begin/End allocated %v times per op", allocs)
 	}
 }
 
+// TestSpanRecordsDuration pins the one-instrument contract: a stage's
+// histogram is "<name>.seconds", its span is "<name>", and each records
+// exactly what is attached — histogram only (a registry, no trace), span
+// only (a trace, no registry: the tag), or both under one name.
 func TestSpanRecordsDuration(t *testing.T) {
-	m := New()
-	sp := m.Span("stage.demo")
-	time.Sleep(time.Millisecond)
-	sp.End()
-	s := m.Histogram("stage.demo.seconds").Stats()
-	if s.Count != 1 {
-		t.Fatalf("span count = %d, want 1", s.Count)
+	fail := errors.New("decode failed")
+	for name, tc := range map[string]struct{ metrics, trace bool }{
+		"histogram only": {true, false},
+		"span only":      {false, true},
+		"both":           {true, true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var m *Metrics
+			if tc.metrics {
+				m = New()
+			}
+			var root *SpanNode
+			if tc.trace {
+				root = BeginTrace(NewExchangeID(1, 0, 0), 0, 0, "root").Root
+			}
+			r := m.Stage("stage.demo").Begin(root, 2)
+			time.Sleep(time.Millisecond)
+			r.End(fail)
+
+			h := m.Histogram("stage.demo.seconds").Stats()
+			if tc.metrics != (h.Count == 1 && h.Sum >= time.Millisecond.Seconds()) {
+				t.Fatalf("histogram = %+v, want one ≥ 1 ms sample: %v", h, tc.metrics)
+			}
+			sp := r.Span()
+			if !tc.trace {
+				if sp != nil {
+					t.Fatal("untraced stage opened a span")
+				}
+				return
+			}
+			if len(root.Children) != 1 || root.Children[0] != sp || sp.Name != "stage.demo" ||
+				sp.Node != 2 || sp.Err != fail.Error() || sp.DurNS < int64(time.Millisecond) {
+				t.Fatalf("span = %+v, want the parent's one child stage.demo on node 2, failed, ≥ 1 ms", sp)
+			}
+		})
 	}
-	if s.Sum <= 0 {
-		t.Fatalf("span duration = %v, want > 0", s.Sum)
+}
+
+// TestStageBeginTrace pins the root form of a stage: its run is the new
+// trace's root span, carries the trace identity, nests sub-stages, and
+// still times into the stage's histogram.
+func TestStageBeginTrace(t *testing.T) {
+	m := New()
+	fail := errors.New("round failed")
+	r, tr := m.Stage("round").BeginTrace(NewExchangeID(5, 7, 3), 7, 3)
+	m.Stage("round.step").Begin(r.Span(), 1).End(nil)
+	r.End(fail)
+	if root := tr.Root; root != r.Span() || root.Name != "round" || root.Node != -1 || root.Err != fail.Error() ||
+		root.DurNS <= 0 || len(root.Children) != 1 || root.Children[0].Name != "round.step" {
+		t.Fatalf("root span = %+v, want the run's failed span round with one round.step child", root)
+	}
+	if tr.ID != NewExchangeID(5, 7, 3).String() || tr.Network != 7 || tr.Seq != 3 {
+		t.Fatalf("trace identity = (%s, net %d, seq %d)", tr.ID, tr.Network, tr.Seq)
+	}
+	for _, h := range []string{"round.seconds", "round.step.seconds"} {
+		if c := m.Histogram(h).Count(); c != 1 {
+			t.Fatalf("%s count = %d, want 1", h, c)
+		}
 	}
 }
 
@@ -209,36 +256,10 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 	}
 }
 
-func TestRecorders(t *testing.T) {
-	var sr SliceRecorder
-	var sb strings.Builder
-	jr := NewJSONLRecorder(&sb)
-	for i := 0; i < 3; i++ {
-		e := Event{Name: "node.downlink", Node: i, Fields: map[string]any{"ok": true}}
-		sr.Record(e)
-		jr.Record(e)
-	}
-	sr.Record(Event{Name: "exchange.end", Node: -1})
-	if got := sr.CountByName()["node.downlink"]; got != 3 {
-		t.Fatalf("slice recorder counted %d node.downlink events, want 3", got)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("jsonl recorder wrote %d lines, want 3", len(lines))
-	}
-	var e Event
-	if err := json.Unmarshal([]byte(lines[1]), &e); err != nil {
-		t.Fatalf("jsonl line not valid JSON: %v", err)
-	}
-	if e.Name != "node.downlink" || e.Node != 1 {
-		t.Fatalf("round-tripped event = %+v", e)
-	}
-}
-
 func TestServeDebugEndpoints(t *testing.T) {
 	m := New()
 	m.Counter("demo.count").Add(7)
-	m.Span("demo.stage").End()
+	m.Stage("demo.stage").Begin(nil, -1).End(nil)
 	ln, err := ServeDebug("127.0.0.1:0", m)
 	if err != nil {
 		t.Fatal(err)

@@ -34,8 +34,8 @@ func NewExchangeID(seed int64, network int, seq uint64) ExchangeID {
 	return ExchangeID(x ^ (x >> 31))
 }
 
-// String renders the ID as 16 hex digits, the form used in Event.Exchange
-// and trace files.
+// String renders the ID as 16 hex digits, the form used in Trace.ID and
+// trace files.
 func (id ExchangeID) String() string { return fmt.Sprintf("%016x", uint64(id)) }
 
 // SpanNode is one node of an exchange's causal span tree: a named stage (or
@@ -135,16 +135,12 @@ func (s *SpanNode) Walk(fn func(*SpanNode)) {
 	}
 }
 
-// Context propagation. The active span and exchange ID travel through the
-// pipeline inside the context, so lower layers (radar, tag, parallel)
-// attach their sub-stage spans without the core threading tracer handles
-// through every signature. When tracing is disabled the context is never
-// wrapped and the lookups below return their zero values after one cheap,
-// allocation-free Value call.
-type (
-	spanCtxKey struct{}
-	exchCtxKey struct{}
-)
+// Context propagation. The active span travels through the pipeline inside
+// the context, so lower layers (radar, tag, parallel) attach their stage
+// spans without the core threading tracer handles through every signature.
+// When tracing is disabled the context is never wrapped and the lookup
+// below returns nil after one cheap, allocation-free Value call.
+type spanCtxKey struct{}
 
 // ContextWithSpan returns ctx carrying s as the active trace span.
 func ContextWithSpan(ctx context.Context, s *SpanNode) context.Context {
@@ -156,17 +152,6 @@ func ContextWithSpan(ctx context.Context, s *SpanNode) context.Context {
 func SpanFromContext(ctx context.Context) *SpanNode {
 	s, _ := ctx.Value(spanCtxKey{}).(*SpanNode)
 	return s
-}
-
-// ContextWithExchangeID returns ctx carrying the exchange identity.
-func ContextWithExchangeID(ctx context.Context, id ExchangeID) context.Context {
-	return context.WithValue(ctx, exchCtxKey{}, id)
-}
-
-// ExchangeIDFromContext returns the exchange identity in ctx, if any.
-func ExchangeIDFromContext(ctx context.Context) (ExchangeID, bool) {
-	id, ok := ctx.Value(exchCtxKey{}).(ExchangeID)
-	return id, ok
 }
 
 // Tracer collects completed exchange traces, bounded in memory: beyond the

@@ -92,17 +92,10 @@ func TestSpanContextPropagation(t *testing.T) {
 	if s := SpanFromContext(ctx); s != nil {
 		t.Fatal("unwrapped context carried a span")
 	}
-	if _, ok := ExchangeIDFromContext(ctx); ok {
-		t.Fatal("unwrapped context carried an exchange ID")
-	}
 	tr := BeginTrace(NewExchangeID(7, 0, 0), 0, 0, "root")
-	id := NewExchangeID(7, 0, 0)
-	ctx = ContextWithSpan(ContextWithExchangeID(ctx, id), tr.Root)
+	ctx = ContextWithSpan(ctx, tr.Root)
 	if got := SpanFromContext(ctx); got != tr.Root {
 		t.Fatal("span did not round-trip through context")
-	}
-	if got, ok := ExchangeIDFromContext(ctx); !ok || got != id {
-		t.Fatal("exchange ID did not round-trip through context")
 	}
 }
 
